@@ -8,6 +8,7 @@
 
 #include "analysis/lockset.h"
 #include "analysis/lsv.h"
+#include "common/json.h"
 
 namespace kivati {
 namespace {
@@ -111,17 +112,6 @@ class UnionFind {
 };
 
 const char* TypeChar(AccessType type) { return type == AccessType::kRead ? "R" : "W"; }
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -515,19 +505,19 @@ std::string FormatCorrelationReport(const CorrelationReport& report) {
 
 std::string CorrelationReportJson(const CorrelationReport& report) {
   const auto pair_json = [&](const CorrelatedPair& pair) {
-    std::string out = "{\"a\":\"" + JsonEscape(pair.a_name) + "\",\"b\":\"" +
-                      JsonEscape(pair.b_name) + "\",\"support\":" + std::to_string(pair.support);
+    std::string out = "{\"a\":" + json::Quote(pair.a_name) + ",\"b\":" +
+                      json::Quote(pair.b_name) + ",\"support\":" + std::to_string(pair.support);
     if (pair.pruned != PairPruneReason::kNone) {
       out += ",\"pruned\":\"" + std::string(ToString(pair.pruned)) + "\"";
       if (!pair.lock.empty()) {
-        out += ",\"lock\":\"" + JsonEscape(pair.lock) + "\"";
+        out += ",\"lock\":" + json::Quote(pair.lock);
       }
     }
     out += ",\"sites\":[";
     for (std::size_t i = 0; i < pair.sites.size(); ++i) {
       const CoAccessSite& site = pair.sites[i];
-      out += std::string(i > 0 ? "," : "") + "{\"function\":\"" + JsonEscape(site.function) +
-             "\",\"line\":" + std::to_string(site.line) + ",\"types\":\"" +
+      out += std::string(i > 0 ? "," : "") + "{\"function\":" + json::Quote(site.function) +
+             ",\"line\":" + std::to_string(site.line) + ",\"types\":\"" +
              TypeChar(site.a_type) + TypeChar(site.b_type) + "\"}";
     }
     out += "]}";
@@ -542,7 +532,7 @@ std::string CorrelationReportJson(const CorrelationReport& report) {
     const CorrelatedSet& set = report.sets[s];
     out += std::string(s > 0 ? "," : "") + "{\"id\":" + std::to_string(set.id) + ",\"members\":[";
     for (std::size_t i = 0; i < set.member_names.size(); ++i) {
-      out += std::string(i > 0 ? "," : "") + "\"" + JsonEscape(set.member_names[i]) + "\"";
+      out += std::string(i > 0 ? "," : "") + json::Quote(set.member_names[i]);
     }
     out += "],\"support\":" + std::to_string(set.support) +
            ",\"fused_ars\":" + std::to_string(set.fused_ars) +

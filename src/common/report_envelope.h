@@ -6,8 +6,9 @@
 // whose first two keys are `kind` (the report type, "kivati_<command>") and
 // `schema_version`, followed by an echo of the spec/options that produced
 // it. Downstream tooling dispatches on those two keys without knowing the
-// payload shapes; tests/cli_test.cc holds every --json mode to this
-// contract (LooksLikeEnvelope below is the checker it uses).
+// payload shapes. tests/cli_test.cc holds every --json mode to this
+// contract by parsing its output with json::Parse (common/json.h) and
+// checking the first two keys.
 #ifndef KIVATI_COMMON_REPORT_ENVELOPE_H_
 #define KIVATI_COMMON_REPORT_ENVELOPE_H_
 
@@ -25,13 +26,6 @@ struct Envelope {
 // The canonical document opening: `{"kind":"<kind>","schema_version":N,`.
 // Emitters append their payload fields and the closing brace.
 std::string EnvelopePrefix(const Envelope& envelope);
-
-// Checks that `text` is one JSON object document conforming to the
-// envelope: begins with '{', its first key is "kind" with a
-// "kivati_"-prefixed string value, its second key is "schema_version" with
-// an integer value, and (brace/string-aware) the object closes exactly at
-// the end of the text modulo trailing whitespace. Fills *out when given.
-bool LooksLikeEnvelope(const std::string& text, Envelope* out = nullptr);
 
 }  // namespace report
 }  // namespace kivati

@@ -6,50 +6,14 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "common/json.h"
 #include "common/report_envelope.h"
 
 namespace kivati {
 namespace exp {
 namespace {
 
-void Append(std::string& out, const char* key, std::uint64_t value, bool comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%llu%s", key,
-                static_cast<unsigned long long>(value), comma ? "," : "");
-  out += buf;
-}
-
-void Append(std::string& out, const char* key, double value, bool comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.6f%s", key, value, comma ? "," : "");
-  out += buf;
-}
-
-void Append(std::string& out, const char* key, bool value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += value ? "\":true" : "\":false";
-  if (comma) {
-    out += ",";
-  }
-}
-
-void AppendString(std::string& out, const char* key, const std::string& value,
-                  bool comma = true) {
-  out += "\"";
-  out += key;
-  out += "\":\"";
-  for (const char c : value) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  out += "\"";
-  if (comma) {
-    out += ",";
-  }
-}
+using json::Append;
 
 // The addresses of the shared variables behind the workload's known-buggy
 // ARs: the HB backend reports per address, Kivati per AR, so "did it find
@@ -236,9 +200,9 @@ std::string CompareReportJson(const CompareReport& report, bool include_wall_clo
   for (std::size_t i = 0; i < report.rows.size(); ++i) {
     const CompareRow& row = report.rows[i];
     std::string line = "{";
-    AppendString(line, "name", row.name);
+    Append(line, "name", row.name);
     if (!row.error.empty()) {
-      AppendString(line, "error", row.error, /*comma=*/false);
+      Append(line, "error", row.error, /*comma=*/false);
     } else {
       Append(line, "has_known_bugs", row.has_known_bugs);
       Append(line, "kivati_found_bug", row.kivati_found_bug);

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "common/json.h"
 #include "common/report_envelope.h"
 #include "common/rng.h"
 #include "exp/runner.h"
@@ -123,81 +124,7 @@ std::string DedupKey(const ReproTarget& target) {
          std::to_string(target.addr) + "|" + std::to_string(target.size);
 }
 
-// ---------------------------------------------------------------------------
-// JSON (run_record.cc conventions).
-// ---------------------------------------------------------------------------
-
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void Append(std::string& out, const char* key, std::uint64_t value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-  if (comma) {
-    out += ",";
-  }
-}
-
-void Append(std::string& out, const char* key, double value, bool comma = true) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  out += "\"";
-  out += key;
-  out += "\":";
-  out += buf;
-  if (comma) {
-    out += ",";
-  }
-}
-
-void Append(std::string& out, const char* key, bool value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += value ? "\":true" : "\":false";
-  if (comma) {
-    out += ",";
-  }
-}
-
-void Append(std::string& out, const char* key, const std::string& value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += "\":\"";
-  out += EscapeJson(value);
-  out += "\"";
-  if (comma) {
-    out += ",";
-  }
-}
+using json::Append;
 
 std::string DiscoveryJson(const FuzzDiscovery& d) {
   std::string out = "{";
@@ -434,7 +361,7 @@ std::string FuzzReportJson(const FuzzReport& report, bool include_wall_clock) {
     if (i != 0) {
       out += ",";
     }
-    out += "\"" + EscapeJson(report.errors[i]) + "\"";
+    json::AppendQuoted(out, report.errors[i]);
   }
   out += "],\"discoveries\":[\n";
   for (std::size_t i = 0; i < report.discoveries.size(); ++i) {

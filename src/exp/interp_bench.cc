@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <stdexcept>
 
+#include "common/json.h"
 #include "common/report_envelope.h"
 #include "exp/run_record.h"
 #include "exp/spec_grid.h"
@@ -134,16 +134,15 @@ std::string InterpBenchJson(const std::vector<InterpBenchEntry>& entries) {
   out += "\"entries\":[";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const InterpBenchEntry& e = entries[i];
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"label\":\"%s\",\"engine\":\"%s\",\"cycles\":%llu,"
-                  "\"instructions\":%llu,\"median_wall_ms\":%.3f,"
-                  "\"mcycles_per_sec\":%.3f,\"mips\":%.3f}",
-                  i == 0 ? "" : ",", e.label.c_str(), e.engine.c_str(),
-                  static_cast<unsigned long long>(e.cycles),
-                  static_cast<unsigned long long>(e.instructions), e.median_wall_ms,
-                  e.mcycles_per_sec, e.mips);
-    out += buf;
+    out += i == 0 ? "{" : ",{";
+    json::Append(out, "label", e.label);
+    json::Append(out, "engine", e.engine);
+    json::Append(out, "cycles", e.cycles);
+    json::Append(out, "instructions", e.instructions);
+    json::AppendFixed(out, "median_wall_ms", e.median_wall_ms, 3);
+    json::AppendFixed(out, "mcycles_per_sec", e.mcycles_per_sec, 3);
+    json::AppendFixed(out, "mips", e.mips, 3, /*comma=*/false);
+    out += "}";
   }
   out += "]}\n";
   return out;

@@ -1,12 +1,11 @@
 #include "exp/repro.h"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/json.h"
 #include "common/report_envelope.h"
 #include "exp/run_record.h"
 #include "trace/report.h"
@@ -15,81 +14,7 @@ namespace kivati {
 namespace exp {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Writing. Reuses the run_record.cc conventions (compact, snprintf-based).
-// ---------------------------------------------------------------------------
-
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void Append(std::string& out, const char* key, std::uint64_t value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-  if (comma) {
-    out += ",";
-  }
-}
-
-void Append(std::string& out, const char* key, double value, bool comma = true) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  out += "\"";
-  out += key;
-  out += "\":";
-  out += buf;
-  if (comma) {
-    out += ",";
-  }
-}
-
-void Append(std::string& out, const char* key, bool value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += value ? "\":true" : "\":false";
-  if (comma) {
-    out += ",";
-  }
-}
-
-void Append(std::string& out, const char* key, const std::string& value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += "\":\"";
-  out += EscapeJson(value);
-  out += "\"";
-  if (comma) {
-    out += ",";
-  }
-}
+using json::Append;
 
 std::string SpecJson(const RunSpec& spec) {
   if (spec.prebuilt != nullptr) {
@@ -109,11 +34,10 @@ std::string SpecJson(const RunSpec& spec) {
     Append(out, "source", spec.source_path);
     out += "\"threads\":[";
     for (std::size_t i = 0; i < spec.threads.size(); ++i) {
-      if (i != 0) {
-        out += ",";
-      }
-      out += "[\"" + EscapeJson(spec.threads[i].first) + "\"," +
-             std::to_string(spec.threads[i].second) + "]";
+      out += i != 0 ? ",[" : "[";
+      json::AppendQuoted(out, spec.threads[i].first);
+      out += ',';
+      out += std::to_string(spec.threads[i].second) + "]";
     }
     out += "],";
   }
@@ -124,15 +48,15 @@ std::string SpecJson(const RunSpec& spec) {
   Append(out, "precise_aliasing", spec.scale.annotator.precise_aliasing);
   Append(out, "cores", static_cast<std::uint64_t>(spec.machine.num_cores));
   Append(out, "watchpoints", static_cast<std::uint64_t>(spec.machine.watchpoints_per_core));
-  Append(out, "quantum", static_cast<std::uint64_t>(spec.machine.quantum));
+  Append(out, "quantum", spec.machine.quantum);
   Append(out, "seed", spec.machine.seed);
   Append(out, "policy",
-         std::string(spec.machine.policy == SchedPolicy::kRandom ? "random" : "round-robin"));
+         spec.machine.policy == SchedPolicy::kRandom ? "random" : "round-robin");
   Append(out, "trap_delivery",
-         std::string(spec.machine.trap_delivery == TrapDelivery::kBefore ? "before" : "after"));
+         spec.machine.trap_delivery == TrapDelivery::kBefore ? "before" : "after");
   Append(out, "vanilla", spec.vanilla);
-  Append(out, "preset", std::string(ToString(spec.preset)));
-  Append(out, "mode", std::string(ToString(spec.mode)));
+  Append(out, "preset", ToString(spec.preset));
+  Append(out, "mode", ToString(spec.mode));
   Append(out, "pause_ms", spec.pause_ms);
   if (!spec.whitelist_path.empty()) {
     Append(out, "whitelist_path", spec.whitelist_path);
@@ -141,7 +65,7 @@ std::string SpecJson(const RunSpec& spec) {
     Append(out, "whitelist_sync_vars", *spec.whitelist_sync_vars);
   }
   if (spec.budget.has_value()) {
-    Append(out, "budget", static_cast<std::uint64_t>(*spec.budget));
+    Append(out, "budget", *spec.budget);
   }
   Append(out, "latency_tag", static_cast<std::uint64_t>(spec.latency_tag), /*comma=*/false);
   out += "}";
@@ -178,321 +102,97 @@ std::string TraceJson(const ScheduleTrace& trace) {
 }
 
 // ---------------------------------------------------------------------------
-// Reading: a minimal recursive-descent JSON parser, just enough for the
-// artifact schema (objects, arrays, strings, unsigned integers, doubles,
-// booleans, null). Errors carry the byte offset.
+// Reading: the schema mapping over json::Parse's tree.
 // ---------------------------------------------------------------------------
 
-struct Json {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::uint64_t uinteger = 0;  // valid when is_uint
-  bool is_uint = false;
-  std::string string;
-  std::vector<Json> array;
-  std::vector<std::pair<std::string, Json>> object;
-
-  const Json* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) {
-        return &v;
-      }
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Json Parse() {
-    Json value = ParseValue();
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      Fail("trailing characters after JSON document");
-    }
-    return value;
-  }
-
- private:
-  [[noreturn]] void Fail(const std::string& what) const {
-    throw std::runtime_error("repro JSON parse error at byte " + std::to_string(pos_) + ": " +
-                             what);
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char Peek() {
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      Fail("unexpected end of input");
-    }
-    return text_[pos_];
-  }
-
-  void Expect(char c) {
-    if (Peek() != c) {
-      Fail(std::string("expected '") + c + "', got '" + text_[pos_] + "'");
-    }
-    ++pos_;
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && Peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Json ParseValue() {
-    switch (Peek()) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
-      case '"': {
-        Json v;
-        v.type = Json::Type::kString;
-        v.string = ParseString();
-        return v;
-      }
-      case 't':
-      case 'f':
-        return ParseKeyword();
-      case 'n':
-        return ParseKeyword();
-      default:
-        return ParseNumber();
-    }
-  }
-
-  Json ParseKeyword() {
-    Json v;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      v.type = Json::Type::kBool;
-      v.boolean = true;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      v.type = Json::Type::kBool;
-      v.boolean = false;
-    } else if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      v.type = Json::Type::kNull;
-    } else {
-      Fail("unknown keyword");
-    }
-    return v;
-  }
-
-  Json ParseNumber() {
-    const std::size_t start = pos_;
-    bool integral = true;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      integral = false;  // the schema has no negative integers
-      ++pos_;
-    }
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        integral = false;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) {
-      Fail("expected a value");
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    Json v;
-    v.type = Json::Type::kNumber;
-    v.number = std::strtod(token.c_str(), nullptr);
-    if (integral) {
-      v.uinteger = std::strtoull(token.c_str(), nullptr, 10);
-      v.is_uint = true;
-    }
-    return v;
-  }
-
-  std::string ParseString() {
-    Expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) {
-        Fail("unterminated string");
-      }
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return out;
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        Fail("unterminated escape");
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            Fail("truncated \\u escape");
-          }
-          const unsigned long code = std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16);
-          pos_ += 4;
-          // The writer only emits \u00xx control characters.
-          out += static_cast<char>(code & 0xff);
-          break;
-        }
-        default:
-          Fail("unknown escape");
-      }
-    }
-  }
-
-  Json ParseObject() {
-    Expect('{');
-    Json v;
-    v.type = Json::Type::kObject;
-    if (Consume('}')) {
-      return v;
-    }
-    while (true) {
-      std::string key = ParseString();
-      Expect(':');
-      v.object.emplace_back(std::move(key), ParseValue());
-      if (Consume('}')) {
-        return v;
-      }
-      Expect(',');
-    }
-  }
-
-  Json ParseArray() {
-    Expect('[');
-    Json v;
-    v.type = Json::Type::kArray;
-    if (Consume(']')) {
-      return v;
-    }
-    while (true) {
-      v.array.push_back(ParseValue());
-      if (Consume(']')) {
-        return v;
-      }
-      Expect(',');
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+using json::Value;
 
 [[noreturn]] void SchemaFail(const std::string& what) {
   throw std::runtime_error("repro JSON: " + what);
 }
 
-const Json& Require(const Json& obj, const std::string& key) {
-  const Json* v = obj.Find(key);
+const Value& Require(const Value& obj, const std::string& key) {
+  const Value* v = obj.Find(key);
   if (v == nullptr) {
     SchemaFail("missing key '" + key + "'");
   }
   return *v;
 }
 
-std::uint64_t AsUint(const Json& v, const std::string& where) {
-  if (v.type != Json::Type::kNumber || !v.is_uint) {
+std::uint64_t AsUint(const Value& v, const std::string& where) {
+  if (v.type != Value::Type::kNumber || !v.is_uint) {
     SchemaFail("'" + where + "' must be an unsigned integer");
   }
   return v.uinteger;
 }
 
-double AsDouble(const Json& v, const std::string& where) {
-  if (v.type != Json::Type::kNumber) {
+// AsUint narrowed to T, rejecting values T cannot hold instead of
+// truncating them (exp::Validate applies the semantic bounds).
+template <typename T>
+T AsUintOf(const Value& v, const std::string& where) {
+  const std::uint64_t value = AsUint(v, where);
+  if (value > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    SchemaFail("'" + where + "' is out of range (" + std::to_string(value) + ")");
+  }
+  return static_cast<T>(value);
+}
+
+const std::vector<Value>& AsArray(const Value& v, const std::string& where,
+                                  std::size_t size = 0) {
+  if (v.type != Value::Type::kArray || (size != 0 && v.array.size() != size)) {
+    SchemaFail("'" + where + "' must be an array" +
+               (size != 0 ? " of " + std::to_string(size) : std::string()));
+  }
+  return v.array;
+}
+
+double AsDouble(const Value& v, const std::string& where) {
+  if (v.type != Value::Type::kNumber) {
     SchemaFail("'" + where + "' must be a number");
   }
   return v.number;
 }
 
-bool AsBool(const Json& v, const std::string& where) {
-  if (v.type != Json::Type::kBool) {
+bool AsBool(const Value& v, const std::string& where) {
+  if (v.type != Value::Type::kBool) {
     SchemaFail("'" + where + "' must be a boolean");
   }
   return v.boolean;
 }
 
-const std::string& AsString(const Json& v, const std::string& where) {
-  if (v.type != Json::Type::kString) {
+const std::string& AsString(const Value& v, const std::string& where) {
+  if (v.type != Value::Type::kString) {
     SchemaFail("'" + where + "' must be a string");
   }
   return v.string;
 }
 
-RunSpec SpecFromJson(const Json& j) {
+RunSpec SpecFromJson(const Value& j) {
   RunSpec spec;
   spec.label = AsString(Require(j, "label"), "label");
-  if (const Json* bug = j.Find("bug")) {
+  if (const Value* bug = j.Find("bug")) {
     spec.bug = AsString(*bug, "bug");
-  } else if (const Json* app = j.Find("app")) {
+  } else if (const Value* app = j.Find("app")) {
     spec.app = AsString(*app, "app");
-  } else if (const Json* source = j.Find("source")) {
+  } else if (const Value* source = j.Find("source")) {
     spec.source_path = AsString(*source, "source");
-    for (const Json& t : Require(j, "threads").array) {
-      if (t.array.size() != 2) {
-        SchemaFail("each thread entry must be [function, arg]");
-      }
-      spec.threads.emplace_back(AsString(t.array[0], "thread function"),
-                                AsUint(t.array[1], "thread arg"));
+    for (const Value& t : AsArray(Require(j, "threads"), "threads")) {
+      const std::vector<Value>& entry = AsArray(t, "thread [function, arg]", 2);
+      spec.threads.emplace_back(AsString(entry[0], "thread function"),
+                                AsUint(entry[1], "thread arg"));
     }
   } else {
     SchemaFail("spec needs one of 'bug', 'app', 'source'");
   }
-  spec.scale.workers = static_cast<int>(AsUint(Require(j, "workers"), "workers"));
-  spec.scale.iterations = static_cast<int>(AsUint(Require(j, "iterations"), "iterations"));
+  spec.scale.workers = AsUintOf<int>(Require(j, "workers"), "workers");
+  spec.scale.iterations = AsUintOf<int>(Require(j, "iterations"), "iterations");
   spec.scale.prune = AsBool(Require(j, "prune"), "prune");
   spec.scale.annotator.interprocedural =
       AsBool(Require(j, "interprocedural"), "interprocedural");
   spec.scale.annotator.precise_aliasing =
       AsBool(Require(j, "precise_aliasing"), "precise_aliasing");
-  spec.machine.num_cores = static_cast<unsigned>(AsUint(Require(j, "cores"), "cores"));
-  spec.machine.watchpoints_per_core =
-      static_cast<unsigned>(AsUint(Require(j, "watchpoints"), "watchpoints"));
+  spec.machine.num_cores = AsUintOf<unsigned>(Require(j, "cores"), "cores");
+  spec.machine.watchpoints_per_core = AsUintOf<unsigned>(Require(j, "watchpoints"), "watchpoints");
   spec.machine.quantum = AsUint(Require(j, "quantum"), "quantum");
   spec.machine.seed = AsUint(Require(j, "seed"), "seed");
   const std::string& policy = AsString(Require(j, "policy"), "policy");
@@ -519,31 +219,30 @@ RunSpec SpecFromJson(const Json& j) {
     SchemaFail("unknown mode");
   }
   spec.pause_ms = AsDouble(Require(j, "pause_ms"), "pause_ms");
-  if (const Json* path = j.Find("whitelist_path")) {
+  if (const Value* path = j.Find("whitelist_path")) {
     spec.whitelist_path = AsString(*path, "whitelist_path");
   }
-  if (const Json* wl = j.Find("whitelist_sync_vars")) {
+  if (const Value* wl = j.Find("whitelist_sync_vars")) {
     spec.whitelist_sync_vars = AsBool(*wl, "whitelist_sync_vars");
   }
-  if (const Json* budget = j.Find("budget")) {
+  if (const Value* budget = j.Find("budget")) {
     spec.budget = AsUint(*budget, "budget");
   }
-  if (const Json* tag = j.Find("latency_tag")) {
+  if (const Value* tag = j.Find("latency_tag")) {
     spec.latency_tag = static_cast<std::int64_t>(AsUint(*tag, "latency_tag"));
   }
   return spec;
 }
 
-ScheduleTrace TraceFromJson(const Json& j) {
+ScheduleTrace TraceFromJson(const Value& j) {
   ScheduleTrace trace;
   trace.seed = AsUint(Require(j, "seed"), "trace.seed");
   trace.shrunk = AsBool(Require(j, "shrunk"), "trace.shrunk");
-  for (const Json& d : Require(j, "decisions").array) {
-    if (d.array.size() != 5) {
-      SchemaFail("each decision must be [kind, value, choices, subject, instr]");
-    }
+  for (const Value& entry : AsArray(Require(j, "decisions"), "decisions")) {
+    const std::vector<Value>& d =
+        AsArray(entry, "decision [kind, value, choices, subject, instr]", 5);
     SchedDecision decision;
-    const std::string& kind = AsString(d.array[0], "decision kind");
+    const std::string& kind = AsString(d[0], "decision kind");
     if (kind == "pick") {
       decision.kind = SchedDecisionKind::kPick;
     } else if (kind == "pause") {
@@ -551,20 +250,18 @@ ScheduleTrace TraceFromJson(const Json& j) {
     } else {
       SchemaFail("unknown decision kind '" + kind + "'");
     }
-    decision.value = static_cast<std::uint32_t>(AsUint(d.array[1], "decision value"));
-    decision.choices = static_cast<std::uint32_t>(AsUint(d.array[2], "decision choices"));
-    decision.subject = static_cast<ThreadId>(AsUint(d.array[3], "decision subject"));
-    decision.instr = AsUint(d.array[4], "decision instr");
+    decision.value = AsUintOf<std::uint32_t>(d[1], "decision value");
+    decision.choices = AsUintOf<std::uint32_t>(d[2], "decision choices");
+    decision.subject = AsUintOf<ThreadId>(d[3], "decision subject");
+    decision.instr = AsUint(d[4], "decision instr");
     trace.decisions.push_back(decision);
   }
-  for (const Json& c : Require(j, "checkpoints").array) {
-    if (c.array.size() != 3) {
-      SchemaFail("each checkpoint must be [instr, thread, core]");
-    }
+  for (const Value& entry : AsArray(Require(j, "checkpoints"), "checkpoints")) {
+    const std::vector<Value>& c = AsArray(entry, "checkpoint [instr, thread, core]", 3);
     SchedCheckpoint checkpoint;
-    checkpoint.instr = AsUint(c.array[0], "checkpoint instr");
-    checkpoint.thread = static_cast<ThreadId>(AsUint(c.array[1], "checkpoint thread"));
-    checkpoint.core = static_cast<CoreId>(AsUint(c.array[2], "checkpoint core"));
+    checkpoint.instr = AsUint(c[0], "checkpoint instr");
+    checkpoint.thread = AsUintOf<ThreadId>(c[1], "checkpoint thread");
+    checkpoint.core = AsUintOf<CoreId>(c[2], "checkpoint core");
     trace.checkpoints.push_back(checkpoint);
   }
   return trace;
@@ -613,9 +310,9 @@ std::string ToJson(const ReproArtifact& artifact) {
   return out;
 }
 
-ReproArtifact ReproFromJson(const std::string& json) {
-  const Json root = JsonParser(json).Parse();
-  if (root.type != Json::Type::kObject) {
+ReproArtifact ReproFromJson(const std::string& text) {
+  const Value root = json::Parse(text);
+  if (root.type != Value::Type::kObject) {
     SchemaFail("top level must be an object");
   }
   if (AsString(Require(root, "kind"), "kind") != "kivati_repro") {
@@ -623,15 +320,14 @@ ReproArtifact ReproFromJson(const std::string& json) {
   }
   ReproArtifact artifact;
   artifact.spec = SpecFromJson(Require(root, "spec"));
-  artifact.violations =
-      static_cast<std::size_t>(AsUint(Require(root, "violations"), "violations"));
-  if (const Json* target = root.Find("target")) {
+  Validate(artifact.spec);
+  artifact.violations = AsUintOf<std::size_t>(Require(root, "violations"), "violations");
+  if (const Value* target = root.Find("target")) {
     artifact.has_target = true;
-    artifact.target.ar = static_cast<ArId>(AsUint(Require(*target, "ar"), "target.ar"));
+    artifact.target.ar = AsUintOf<ArId>(Require(*target, "ar"), "target.ar");
     artifact.target.pattern = AsString(Require(*target, "pattern"), "target.pattern");
     artifact.target.addr = AsUint(Require(*target, "addr"), "target.addr");
-    artifact.target.size =
-        static_cast<unsigned>(AsUint(Require(*target, "size"), "target.size"));
+    artifact.target.size = AsUintOf<unsigned>(Require(*target, "size"), "target.size");
   }
   artifact.trace = TraceFromJson(Require(root, "trace"));
   return artifact;

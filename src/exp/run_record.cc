@@ -1,75 +1,13 @@
 #include "exp/run_record.h"
 
-#include <cstdio>
-
+#include "common/json.h"
 #include "common/report_envelope.h"
 
 namespace kivati {
 namespace exp {
 namespace {
 
-void Append(std::string& out, const char* key, std::uint64_t value, bool comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%llu%s", key,
-                static_cast<unsigned long long>(value), comma ? "," : "");
-  out += buf;
-}
-
-void Append(std::string& out, const char* key, double value, bool comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.6f%s", key, value, comma ? "," : "");
-  out += buf;
-}
-
-void Append(std::string& out, const char* key, bool value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += value ? "\":true" : "\":false";
-  if (comma) {
-    out += ",";
-  }
-}
-
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void Append(std::string& out, const char* key, const std::string& value, bool comma = true) {
-  out += "\"";
-  out += key;
-  out += "\":\"";
-  out += EscapeJson(value);
-  out += "\"";
-  if (comma) {
-    out += ",";
-  }
-}
+using json::Append;
 
 std::string HistogramJson(const CycleHistogram& hist) {
   std::string out = "{";
@@ -172,8 +110,8 @@ std::string RecordBodyJson(const RunRecord& record, bool include_wall_clock) {
   std::string out;
   Append(out, "label", record.label);
   Append(out, "app", record.app);
-  Append(out, "config", record.vanilla ? std::string("vanilla") : std::string(ToString(record.preset)));
-  Append(out, "mode", std::string(ToString(record.mode)));
+  Append(out, "config", record.vanilla ? "vanilla" : ToString(record.preset));
+  Append(out, "mode", ToString(record.mode));
   Append(out, "cores", static_cast<std::uint64_t>(record.cores));
   Append(out, "watchpoints", static_cast<std::uint64_t>(record.watchpoints));
   Append(out, "seed", record.seed);

@@ -2,8 +2,10 @@
 
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "compile/compiler.h"
 #include "runtime/whitelist.h"
@@ -36,7 +38,25 @@ std::string CanonicalBugKey(const std::string& name) {
   return key;
 }
 
+template <typename T>
+void CheckRange(const char* field, T value, std::type_identity_t<T> min,
+                std::type_identity_t<T> max) {
+  if (value < min || value > max) {
+    throw std::runtime_error("RunSpec: " + std::string(field) + " " + std::to_string(value) +
+                             " is out of range [" + std::to_string(min) + ", " +
+                             std::to_string(max) + "]");
+  }
+}
+
 }  // namespace
+
+void Validate(const RunSpec& spec) {
+  CheckRange("cores", spec.machine.num_cores, 1, kMaxCores);
+  CheckRange("watchpoints", spec.machine.watchpoints_per_core, 1, kMaxWatchpointCount);
+  CheckRange("app workers", spec.scale.workers, 1, kMaxAppWorkers);
+  CheckRange("app iterations", spec.scale.iterations, 1, kMaxAppIterations);
+  CheckRange("quantum", spec.machine.quantum, 1, std::numeric_limits<Cycles>::max());
+}
 
 std::vector<std::string> CorpusBugNames() {
   std::vector<std::string> names;
@@ -206,9 +226,13 @@ EngineOptions MakeEngineOptions(const RunSpec& spec) {
   return options;
 }
 
-BuiltRun BuildEngine(const RunSpec& spec) { return BuildEngine(spec, ResolveApp(spec)); }
+BuiltRun BuildEngine(const RunSpec& spec) {
+  Validate(spec);  // before ResolveApp builds the workload from spec.scale
+  return BuildEngine(spec, ResolveApp(spec));
+}
 
 BuiltRun BuildEngine(const RunSpec& spec, std::shared_ptr<const apps::App> app) {
+  Validate(spec);
   const int drivers = spec.record_schedule + (spec.replay_schedule != nullptr) +
                       (spec.guided_schedule != nullptr);
   if (drivers > 1) {

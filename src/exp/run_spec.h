@@ -98,6 +98,21 @@ struct RunSpec {
   std::shared_ptr<const GuidedSchedule> guided_schedule;
 };
 
+// Range bounds shared by every RunSpec entry point: the CLI's option
+// tables, repro artifacts, and Validate below. Watchpoints per core are
+// bounded by hw/debug_registers.h's kMaxWatchpointCount.
+inline constexpr unsigned kMaxCores = 256;
+inline constexpr int kMaxAppWorkers = 256;
+inline constexpr int kMaxAppIterations = 100'000'000;
+
+// Range-checks the spec: cores in [1, kMaxCores], watchpoints in
+// [1, kMaxWatchpointCount], app workers in [1, kMaxAppWorkers], app
+// iterations in [1, kMaxAppIterations], quantum >= 1. Throws
+// std::runtime_error naming the first field out of range. BuildEngine calls
+// it, so every command (run, sweep, replay, fuzz, shrink, ...) gets the
+// checks the CLI flags apply.
+void Validate(const RunSpec& spec);
+
 // Names of the registered Table-2 performance applications, in row order.
 const std::vector<std::string>& RegisteredApps();
 

@@ -4,14 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <regex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/json.h"
 
 namespace kivati {
 namespace {
@@ -48,49 +51,26 @@ CommandResult RunCliStdout(const std::string& args) {
   return RunWithRedirect(args, "2>/dev/null");
 }
 
-// Asserts `text` is exactly one JSON document: an object with balanced
-// braces/brackets outside strings and nothing but whitespace after it. Any
-// human-readable line leaking onto stdout fails the brace scan or shows up
-// as leading/trailing content.
-void ExpectSingleJsonDocument(const std::string& text) {
-  std::size_t i = 0;
-  while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])) != 0) {
-    ++i;
+// Asserts `text` is exactly one JSON document and a report envelope: the
+// shared reader parses it whole (a human-readable line leaking onto stdout
+// shows up as leading or trailing content), the root is an object, and its
+// first two keys are a "kivati_"-prefixed "kind" and an integral
+// "schema_version". Hands the parsed document to `doc` when given.
+void ExpectSingleJsonDocument(const std::string& text, json::Value* doc = nullptr) {
+  json::Value root;
+  try {
+    root = json::Parse(text);
+  } catch (const std::runtime_error& e) {
+    FAIL() << e.what() << " in:\n" << text;
   }
-  ASSERT_LT(i, text.size()) << "empty stdout, expected a JSON document";
-  ASSERT_EQ(text[i], '{') << "stdout does not start with a JSON object:\n" << text;
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  std::size_t end = std::string::npos;
-  for (; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      --depth;
-      if (depth == 0) {
-        end = i;
-        break;
-      }
-    }
-  }
-  ASSERT_NE(end, std::string::npos) << "unbalanced JSON on stdout:\n" << text;
-  for (i = end + 1; i < text.size(); ++i) {
-    ASSERT_TRUE(std::isspace(static_cast<unsigned char>(text[i])) != 0)
-        << "trailing content after the JSON document:\n" << text.substr(end + 1);
+  ASSERT_EQ(root.type, json::Value::Type::kObject) << text;
+  ASSERT_GE(root.object.size(), 2u) << text;
+  EXPECT_EQ(root.object[0].first, "kind") << text.substr(0, 120);
+  EXPECT_EQ(root.object[0].second.string.rfind("kivati_", 0), 0u) << text.substr(0, 120);
+  EXPECT_EQ(root.object[1].first, "schema_version") << text.substr(0, 120);
+  EXPECT_TRUE(root.object[1].second.is_uint) << text.substr(0, 120);
+  if (doc != nullptr) {
+    *doc = std::move(root);
   }
 }
 
@@ -667,6 +647,70 @@ TEST_F(CliTest, ReplayOfTamperedTraceExitsWithDivergence) {
 
 // Strict option parsing for the replay/shrink/fuzz surface: zero budgets and
 // malformed seeds must be rejected up front, not truncated into no-op runs.
+// File paths reach --json reports verbatim: a tab or a quote in one must
+// come out escaped, so the report still parses and the path round-trips.
+TEST_F(CliTest, JsonReportsEscapeControlCharactersInPaths) {
+  const std::filesystem::path odd = dir_ / "odd\tdir\"name";
+  std::filesystem::create_directories(odd);
+  const std::string program = (odd / "prog.kv").string();
+  std::filesystem::copy_file(program_, program);
+
+  json::Value annotate;
+  const CommandResult annotated = RunCliStdout("annotate '" + program + "' --json");
+  ASSERT_EQ(annotated.exit_code, 0) << annotated.output;
+  ExpectSingleJsonDocument(annotated.output, &annotate);
+  ASSERT_NE(annotate.Find("source"), nullptr) << annotated.output;
+  EXPECT_EQ(annotate.Find("source")->string, program);
+
+  const std::string trace = (odd / "trace.json").string();
+  const CommandResult record =
+      RunCli("run '" + program + "' --threads racer:0,racer:1 --preset base --seed 9 "
+             "--record-schedule '" + trace + "'");
+  ASSERT_EQ(record.exit_code, 0) << record.output;
+  json::Value shrink;
+  const CommandResult shrunk = RunCliStdout("shrink '" + trace + "' --max-runs 12 --json -");
+  ASSERT_EQ(shrunk.exit_code, 0) << shrunk.output;
+  ExpectSingleJsonDocument(shrunk.output, &shrink);
+  ASSERT_NE(shrink.Find("input"), nullptr) << shrunk.output;
+  EXPECT_EQ(shrink.Find("input")->string, trace);
+  ASSERT_NE(shrink.Find("out"), nullptr) << shrunk.output;
+  EXPECT_EQ(shrink.Find("out")->string, (odd / "trace.min.json").string());
+}
+
+// Every malformed or out-of-range artifact is a clean usage error (exit 2,
+// a "kivati:" line), never a crash: the reader's hardening and the RunSpec
+// range checks both apply on the replay path.
+TEST_F(CliTest, ReplayRejectsMalformedArtifacts) {
+  const std::string trace = (dir_ / "trace.json").string();
+  const CommandResult record =
+      RunCli("run " + program_ + " --threads racer:0,racer:1 --preset base --seed 9 "
+             "--record-schedule " + trace);
+  ASSERT_EQ(record.exit_code, 0) << record.output;
+  const std::string recorded = ReadFileToString(trace);
+
+  std::vector<std::pair<std::string, std::string>> cases;
+  for (const auto& [pattern, replacement] : std::vector<std::pair<std::string, std::string>>{
+           {"\"cores\":[0-9]+", "\"cores\":0"},
+           {"\"cores\":[0-9]+", "\"cores\":1099511627776"},
+           {"\"watchpoints\":[0-9]+", "\"watchpoints\":64"},
+           {"\"workers\":[0-9]+", "\"workers\":0"},
+           {"\"seed\":[0-9]+", "\"seed\":18446744073709551616"},
+           {"\"label\":\"", "\"label\":\"\\u00zz"}}) {
+    cases.emplace_back(replacement, std::regex_replace(recorded, std::regex(pattern), replacement,
+                                                       std::regex_constants::format_first_only));
+  }
+  cases.emplace_back("300k-deep nesting", std::string(300'000, '['));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(cases[i].first);
+    ASSERT_NE(cases[i].second, recorded);
+    const std::string path = (dir_ / ("bad" + std::to_string(i) + ".json")).string();
+    std::ofstream(path) << cases[i].second;
+    const CommandResult replay = RunCli("replay " + path);
+    EXPECT_EQ(replay.exit_code, 2) << replay.output;
+    EXPECT_EQ(replay.output.rfind("kivati: ", 0), 0u) << replay.output;
+  }
+}
+
 TEST_F(CliTest, FuzzAndShrinkRejectDegenerateBudgets) {
   for (const std::string args :
        {"fuzz --bug NSS-329072 --schedules 0", "fuzz --bug NSS-329072 --plateau 0",

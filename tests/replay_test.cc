@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <regex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -232,10 +233,59 @@ TEST(ReproArtifactTest, JsonRoundTrip) {
   EXPECT_EQ(loaded.trace.checkpoints, rec.trace->checkpoints);
 }
 
+// A saved artifact (empty trace) for the corpus bug, with the first match
+// of `pattern` replaced by `replacement`.
+std::string EditedArtifact(const std::string& pattern, const std::string& replacement) {
+  exp::ReproArtifact artifact;
+  artifact.spec = BugSpec("NSS-329072", 1'000'000);
+  const std::string json = exp::ToJson(artifact);
+  const std::regex re(pattern);
+  EXPECT_TRUE(std::regex_search(json, re)) << pattern << " not in " << json;
+  return std::regex_replace(json, re, replacement, std::regex_constants::format_first_only);
+}
+
 TEST(ReproArtifactTest, RejectsMalformedJson) {
+  EXPECT_NO_THROW(exp::ReproFromJson(EditedArtifact("\"label\":\"", "\"label\":\"\\u00e9")));
   EXPECT_THROW(exp::ReproFromJson("{"), std::runtime_error);
   EXPECT_THROW(exp::ReproFromJson("{\"kind\":\"other\"}"), std::runtime_error);
   EXPECT_THROW(exp::ReproFromJson("[1,2,3]"), std::runtime_error);
+  // Nesting deep enough to overflow a recursive reader's stack.
+  EXPECT_THROW(exp::ReproFromJson(std::string(300'000, '[')), std::runtime_error);
+  // A \u escape with non-hex digits.
+  EXPECT_THROW(exp::ReproFromJson(EditedArtifact("\"label\":\"", "\"label\":\"\\u00zz")),
+               std::runtime_error);
+  // 2^64: one more than uint64_t holds.
+  EXPECT_THROW(
+      exp::ReproFromJson(EditedArtifact("\"seed\":[0-9]+", "\"seed\":18446744073709551616")),
+      std::runtime_error);
+  // A raw control character inside a string.
+  EXPECT_THROW(exp::ReproFromJson(EditedArtifact("\"label\":\"", "\"label\":\"\t")),
+               std::runtime_error);
+}
+
+// Range checks shared by every RunSpec entry point: a loaded artifact and a
+// spec handed to BuildEngine are held to the CLI flags' bounds.
+TEST(ReproArtifactTest, RejectsOutOfRangeSpecs) {
+  for (const auto& [pattern, replacement] : std::vector<std::pair<std::string, std::string>>{
+           {"\"cores\":[0-9]+", "\"cores\":0"},
+           {"\"cores\":[0-9]+", "\"cores\":1099511627776"},
+           {"\"watchpoints\":[0-9]+", "\"watchpoints\":64"},
+           {"\"workers\":[0-9]+", "\"workers\":0"}}) {
+    SCOPED_TRACE(replacement);
+    EXPECT_THROW(exp::ReproFromJson(EditedArtifact(pattern, replacement)), std::runtime_error);
+  }
+  const exp::RunSpec base = BugSpec("NSS-329072", 1'000'000);
+  exp::RunSpec no_cores = base;
+  no_cores.machine.num_cores = 0;
+  exp::RunSpec many_watchpoints = base;
+  many_watchpoints.machine.watchpoints_per_core = 64;
+  exp::RunSpec no_workers = base;
+  no_workers.scale.workers = 0;
+  for (const exp::RunSpec& spec : {no_cores, many_watchpoints, no_workers}) {
+    EXPECT_THROW(exp::BuildEngine(spec), std::runtime_error);
+    EXPECT_THROW(exp::Validate(spec), std::runtime_error);
+  }
+  EXPECT_NO_THROW(exp::Validate(base));
 }
 
 TEST(ShrinkTest, ShrinksNssBugToReproducingSubset) {

@@ -174,6 +174,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/report_envelope.h"
 #include "compile/compiler.h"
 #include "core/engine.h"
@@ -376,7 +377,7 @@ void AddSingleRunOptions(exp::OptionTable& table, CliOptions& options) {
   table.Value("--threads", "f[:arg][,f[:arg]...]", [&options](const std::string& value) {
     return ParseThreadsSpec(value, &options.threads);
   });
-  table.Unsigned("--cores", &options.cores, "simulated cores", 1, 256);
+  table.Unsigned("--cores", &options.cores, "simulated cores", 1, exp::kMaxCores);
   table.Unsigned("--watchpoints", &options.watchpoints, "watchpoint registers per core", 1,
                  kMaxWatchpointCount);
   table.U64("--seed", &options.seed, "scheduler seed");
@@ -437,13 +438,14 @@ exp::OptionTable CompareTable(CliOptions& options) {
     options.max_cycles = parsed;
     return std::string();
   });
-  table.Unsigned("--cores", &options.cores, "simulated cores", 1, 256);
+  table.Unsigned("--cores", &options.cores, "simulated cores", 1, exp::kMaxCores);
   table.Unsigned("--watchpoints", &options.watchpoints, "watchpoint registers per core", 1,
                  kMaxWatchpointCount);
   table.U64("--seed", &options.seed, "scheduler seed");
-  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1, 256);
+  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1,
+            exp::kMaxAppWorkers);
   table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1,
-            100'000'000);
+            exp::kMaxAppIterations);
   table.Flag("--multivar", &options.compare_multivar,
              "compare over the multi-variable bug corpus (apps::MultiVarBugCorpus)");
   AddAnnotatorOptions(table, options);
@@ -546,8 +548,10 @@ exp::OptionTable AnalyzeTable(CliOptions& options) {
   });
   table.Flag("--json", &options.json_to_stdout,
              "conflict report as JSON on stdout (human report moves to stderr)");
-  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1, 256);
-  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1, 100'000'000);
+  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1,
+            exp::kMaxAppWorkers);
+  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1,
+            exp::kMaxAppIterations);
   AddAnnotatorOptions(table, options);
   return table;
 }
@@ -633,7 +637,7 @@ exp::OptionTable SweepTable(CliOptions& options) {
     return std::string();
   };
   table.Value("--cores", "core counts to sweep", [&options, unsigned_list](const std::string& value) {
-    return unsigned_list("--cores", value, 1, 256, &options.cores_list);
+    return unsigned_list("--cores", value, 1, exp::kMaxCores, &options.cores_list);
   });
   table.Value("--watchpoints", "watchpoint counts to sweep",
               [&options, unsigned_list](const std::string& value) {
@@ -653,8 +657,10 @@ exp::OptionTable SweepTable(CliOptions& options) {
   table.String("--json", &options.json_path, "write the sweep report ('-' = stdout)");
   table.String("--record-schedule", &options.record_schedule_path,
                "save a repro artifact for the first violating spec");
-  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1, 256);
-  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1, 100'000'000);
+  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1,
+            exp::kMaxAppWorkers);
+  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1,
+            exp::kMaxAppIterations);
   return table;
 }
 
@@ -696,7 +702,7 @@ exp::OptionTable BenchInterpTable(CliOptions& options) {
   });
   table.Unsigned("--repeats", &options.repeats, "wall-time repeats per cell", 1, 1000);
   table.U64("--seed", &options.seed, "scheduler seed");
-  table.Unsigned("--cores", &options.cores, "simulated cores", 1, 256);
+  table.Unsigned("--cores", &options.cores, "simulated cores", 1, exp::kMaxCores);
   table.Unsigned("--watchpoints", &options.watchpoints, "watchpoint registers per core", 1,
                  kMaxWatchpointCount);
   table.Value("--max-cycles", "virtual cycle budget", [&options](const std::string& value) {
@@ -707,8 +713,10 @@ exp::OptionTable BenchInterpTable(CliOptions& options) {
     options.max_cycles = parsed;
     return std::string();
   });
-  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1, 256);
-  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1, 100'000'000);
+  table.Int("--app-workers", &options.app_workers, "app thread-count scale", 1,
+            exp::kMaxAppWorkers);
+  table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1,
+            exp::kMaxAppIterations);
   table.Flag("--block-only", &options.block_only, "measure only the block engine");
   table.Flag("--fast-only", &options.fast_only, "measure only the optimized loop");
   table.Flag("--reference-only", &options.reference_only, "measure only the reference loop");
@@ -820,20 +828,6 @@ exp::RunSpec SpecFromOptions(const CliOptions& options) {
   return spec;
 }
 
-// Minimal JSON string escaping for the annotate table (identifiers and
-// file paths; the full escaper lives with the RunRecord serializer).
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
-
 int Annotate(const CliOptions& options) {
   CompileOptions compile_options;
   compile_options.annotator = options.annotator;
@@ -867,39 +861,39 @@ int Annotate(const CliOptions& options) {
                  correlated.c_str());
   }
   if (options.json_to_stdout) {
-    std::string json = report::EnvelopePrefix({"kivati_annotate", 1});
-    json += "\"source\":\"" + EscapeJson(options.file) + "\",";
-    json += "\"ars_total\":" + std::to_string(compiled.num_ars) + ",\"ars\":[\n";
+    std::string doc = report::EnvelopePrefix({"kivati_annotate", 1});
+    doc += "\"source\":" + json::Quote(options.file) + ",";
+    doc += "\"ars_total\":" + std::to_string(compiled.num_ars) + ",\"ars\":[\n";
     for (const ArDebugInfo& info : compiled.ar_infos) {
-      json += "{\"id\":" + std::to_string(info.id);
-      json += ",\"function\":\"" + EscapeJson(info.function) + "\"";
-      json += ",\"variable\":\"" + EscapeJson(info.variable) + "\"";
-      json += ",\"line\":" + std::to_string(info.line);
-      json += ",\"first_access\":\"";
-      json += ToString(info.first_type);
-      json += "\",\"watch\":\"";
-      json += ToString(info.watch);
-      json += "\",\"ends\":" + std::to_string(info.num_ends);
-      json += ",\"sync\":";
-      json += compiled.sync_ars.contains(info.id) ? "true" : "false";
-      json += ",\"pruned\":";
-      json += compiled.conflict.pruned.contains(info.id) ? "true" : "false";
+      doc += "{\"id\":" + std::to_string(info.id);
+      doc += ",\"function\":" + json::Quote(info.function);
+      doc += ",\"variable\":" + json::Quote(info.variable);
+      doc += ",\"line\":" + std::to_string(info.line);
+      doc += ",\"first_access\":\"";
+      doc += ToString(info.first_type);
+      doc += "\",\"watch\":\"";
+      doc += ToString(info.watch);
+      doc += "\",\"ends\":" + std::to_string(info.num_ends);
+      doc += ",\"sync\":";
+      doc += compiled.sync_ars.contains(info.id) ? "true" : "false";
+      doc += ",\"pruned\":";
+      doc += compiled.conflict.pruned.contains(info.id) ? "true" : "false";
       // Correlated-variable columns (analysis/correlation.h): 0 / empty /
       // None on every AR the fusion pass left alone.
-      json += ",\"group\":" + std::to_string(info.group);
-      json += ",\"joint\":\"";
-      json += ToString(info.joint_types);
-      json += "\",\"synthesized\":";
-      json += info.synthesized ? "true" : "false";
-      json += ",\"correlated\":[";
+      doc += ",\"group\":" + std::to_string(info.group);
+      doc += ",\"joint\":\"";
+      doc += ToString(info.joint_types);
+      doc += "\",\"synthesized\":";
+      doc += info.synthesized ? "true" : "false";
+      doc += ",\"correlated\":[";
       for (std::size_t i = 0; i < info.correlated.size(); ++i) {
-        json += std::string(i > 0 ? "," : "") + "\"" + EscapeJson(info.correlated[i]) + "\"";
+        doc += std::string(i > 0 ? "," : "") + json::Quote(info.correlated[i]);
       }
-      json += "]}";
-      json += info.id < compiled.num_ars ? ",\n" : "\n";
+      doc += "]}";
+      doc += info.id < compiled.num_ars ? ",\n" : "\n";
     }
-    json += "]}\n";
-    std::fputs(json.c_str(), stdout);
+    doc += "]}\n";
+    std::fputs(doc.c_str(), stdout);
   }
   if (options.disasm) {
     std::fprintf(human, "\n%s", DisassembleProgram(compiled.program).c_str());
@@ -1200,23 +1194,19 @@ int Shrink(const CliOptions& options) {
                  "under loose replay; nothing written\n");
   }
   if (!options.json_path.empty()) {
-    std::string json = report::EnvelopePrefix({"kivati_shrink", 1});
-    json += "\"input\":\"" + EscapeJson(options.file) + "\",";
-    json += "\"reproduced\":" + std::string(result.reproduced ? "true" : "false") + ",";
-    json += "\"original_decisions\":" + std::to_string(result.original_decisions) + ",";
-    json += "\"decisions\":" + std::to_string(result.trace.decisions.size()) + ",";
-    json += "\"runs\":" + std::to_string(result.runs) + ",";
-    {
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "\"runs_per_sec\":%.1f,", runs_per_sec);
-      json += buf;
-    }
-    json += "\"budget_exhausted\":" + std::string(result.budget_exhausted ? "true" : "false");
+    std::string doc = report::EnvelopePrefix({"kivati_shrink", 1});
+    json::Append(doc, "input", options.file);
+    json::Append(doc, "reproduced", result.reproduced);
+    json::Append(doc, "original_decisions", result.original_decisions);
+    json::Append(doc, "decisions", result.trace.decisions.size());
+    json::Append(doc, "runs", result.runs);
+    json::AppendFixed(doc, "runs_per_sec", runs_per_sec, 1);
+    json::Append(doc, "budget_exhausted", result.budget_exhausted, /*comma=*/result.reproduced);
     if (result.reproduced) {
-      json += ",\"out\":\"" + EscapeJson(out_path) + "\"";
+      json::Append(doc, "out", out_path, /*comma=*/false);
     }
-    json += "}\n";
-    WriteJsonOutput(options.json_path, json);
+    doc += "}\n";
+    WriteJsonOutput(options.json_path, doc);
   }
   return result.reproduced ? 0 : 1;
 }
