@@ -199,7 +199,7 @@ class FunctionCodegen {
       // region entry and fires Machine::InvalidateBlockChecks so the block
       // engine's hoisted check-free verdicts never outlive a mask change.
       // Annotations are also translation barriers (exec/block_translate.h):
-      // every AR boundary hands control back to the generic loop.
+      // every AR boundary hands control to the per-instruction engine.
       b_.BeginAtomic(ar->id, address, 8, ar->watch, ar->first_type, ar->joint_types);
     }
   }

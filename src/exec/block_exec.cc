@@ -1,30 +1,32 @@
 // The block-translation engine's fused execution loop (Machine member; see
 // exec/block_translate.h for the translation itself).
 //
-// Byte-identity with the generic loop is the design constraint: with the
-// default cost model every user instruction costs one cycle, so two busy
-// cores leapfrog each other every instruction and the *global* interleaving
-// — which racy shared-memory values and ScheduleTrace instruction stamps
-// depend on — cannot be reordered. The fused loop therefore replicates
-// Run's discrete-event iteration exactly (min-clock core pick, deadline
-// check, preemption poll) over predecoded ops, and hoists only the
-// per-instruction *overhead*: the PC->index lookup, the fat Instruction
-// load, the access-list build, the trap Match scans, the trace/event mask
-// tests, and the pending-extra accounting — none of which can observe
-// anything for ops proven unable to trap.
+// Byte-identity with the per-instruction engine (Run + ExecuteOne) is the
+// design constraint: with the default cost model every user instruction
+// costs one cycle, so two busy cores leapfrog each other every instruction
+// and the *global* interleaving — which racy shared-memory values and
+// ScheduleTrace instruction stamps depend on — cannot be reordered. Both
+// engines execute ops through the same exec::ExecFusedOp (exec/fused_op.h);
+// the fused loop replicates Run's discrete-event iteration exactly
+// (min-clock core pick, deadline check, preemption poll) and hoists only
+// the per-instruction *overhead*: the PC->index lookup, the access-list
+// build, the trap Match scans, the trace/event mask tests, and the
+// pending-extra accounting — none of which can observe anything for ops
+// proven unable to trap.
 //
 // Every iteration boundary leaves the machine in exactly the state the
-// generic loop would have at the same point, so the engine may bail at any
-// iteration: barriers (syscalls, annotations, halt, rep-movs), possible
-// watchpoint hits (the outer ExecuteOne redoes the access with the full
-// Match/undo machinery), quantum expiry and blocked threads (outer
-// Reschedule), timer deadlines (outer WakeExpiredTimers), and invalid PCs
-// (outer error/exit handling). Deoptimization triggers that hold for a
-// whole Run call (replaying/guided controller, address tracing) are
-// decided in Run; the access-level sink mask is re-checked here on every
-// entry because sinks may subscribe between Run calls.
+// per-instruction engine would have at the same point, so the engine may
+// bail at any iteration: barriers (syscalls, annotations, halt,
+// rep-movs), possible watchpoint hits (the outer ExecuteOne redoes the
+// access with the full Match/undo machinery), quantum expiry and blocked
+// threads (outer Reschedule), timer deadlines (outer WakeExpiredTimers),
+// and invalid PCs (outer error/exit handling). Deoptimization triggers
+// that hold for a whole Run call (replaying/guided controller, address
+// tracing) are decided in Run; the access-level sink mask is re-checked
+// here on every entry because sinks may subscribe between Run calls.
 #include <algorithm>
 
+#include "exec/fused_op.h"
 #include "sched/machine.h"
 
 namespace kivati {
@@ -34,215 +36,14 @@ namespace {
 // Conservative pre-execution filter for ops inside non-check-free blocks:
 // true when some access of `op` might overlap an armed watchpoint range
 // (superset of DebugRegisterFile::Match, so a false return proves no trap
-// — and no old-value capture — can be needed; mirrors CollectAccesses).
+// — and no old-value capture — can be needed).
 bool MayTouchArmed(const exec::TransOp& op, const ThreadContext& t,
                    const DebugRegisterFile& regs) {
-  const auto ea = [&t](RegId base, std::int64_t offset) {
-    const std::uint64_t b = base == kNoReg ? 0 : ReadReg(t, base);
-    return b + static_cast<std::uint64_t>(offset);
-  };
-  switch (op.kind) {
-    case exec::FusedKind::kLoad:
-    case exec::FusedKind::kStore:
-    case exec::FusedKind::kXchg:
-      return regs.MayMatch(ea(op.base, op.a), op.size);
-    case exec::FusedKind::kMovM:
-      return regs.MayMatch(ea(op.base2, op.b), op.size) ||
-             regs.MayMatch(ea(op.base, op.a), op.size);
-    case exec::FusedKind::kPushM:
-      return regs.MayMatch(ea(op.base, op.a), op.size) || regs.MayMatch(t.sp - 8, 8);
-    case exec::FusedKind::kCallInd:
-      return regs.MayMatch(ea(op.base, op.a), 8) || regs.MayMatch(t.sp - 8, 8);
-    case exec::FusedKind::kPush:
-    case exec::FusedKind::kCall:
-      return regs.MayMatch(t.sp - 8, 8);
-    case exec::FusedKind::kPop:
-    case exec::FusedKind::kRet:
-      return regs.MayMatch(t.sp, 8);
-    default:
-      return false;  // no memory access
-  }
-}
-
-// Executes one fused op (anything but kBarrier) and returns the cursor of
-// the next op — kNoOp when a dynamic target (indirect call, return) has no
-// translation, in which case the caller re-derives state from the PC. Shared
-// by the general interleaved loop and the two-core lockstep loop so the
-// semantics exist exactly once.
-inline std::uint32_t ExecFusedOp(const exec::TransOp* ops, std::uint32_t cur,
-                                 ThreadContext& t, AddressSpace& memory,
-                                 const exec::BlockTranslation& trans) {
-  const exec::TransOp& op = ops[cur];
-  std::uint32_t next = cur + 1;
-  switch (op.kind) {
-    case exec::FusedKind::kNop:
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kLoadImm:
-      WriteReg(t, op.rd, static_cast<std::uint64_t>(op.a));
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kMov:
-      WriteReg(t, op.rd, ReadReg(t, op.rs1));
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kLoad: {
-      const Addr ea = (op.base == kNoReg ? 0 : ReadReg(t, op.base)) +
-                      static_cast<std::uint64_t>(op.a);
-      WriteReg(t, op.rd, memory.Read(ea, op.size));
-      t.pc = op.next_pc;
-      break;
-    }
-    case exec::FusedKind::kStore: {
-      const Addr ea = (op.base == kNoReg ? 0 : ReadReg(t, op.base)) +
-                      static_cast<std::uint64_t>(op.a);
-      memory.Write(ea, op.size, ReadReg(t, op.rs1));
-      t.pc = op.next_pc;
-      break;
-    }
-    case exec::FusedKind::kMovM: {
-      const Addr src = (op.base2 == kNoReg ? 0 : ReadReg(t, op.base2)) +
-                       static_cast<std::uint64_t>(op.b);
-      const Addr dst = (op.base == kNoReg ? 0 : ReadReg(t, op.base)) +
-                       static_cast<std::uint64_t>(op.a);
-      memory.Write(dst, op.size, memory.Read(src, op.size));
-      t.pc = op.next_pc;
-      break;
-    }
-    case exec::FusedKind::kXchg: {
-      const Addr ea = (op.base == kNoReg ? 0 : ReadReg(t, op.base)) +
-                      static_cast<std::uint64_t>(op.a);
-      const std::uint64_t old = memory.Read(ea, op.size);
-      memory.Write(ea, op.size, ReadReg(t, op.rs1));
-      WriteReg(t, op.rd, old);
-      t.pc = op.next_pc;
-      break;
-    }
-    case exec::FusedKind::kAdd:
-      WriteReg(t, op.rd, ReadReg(t, op.rs1) + ReadReg(t, op.rs2));
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kSub:
-      WriteReg(t, op.rd, ReadReg(t, op.rs1) - ReadReg(t, op.rs2));
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kMul:
-      WriteReg(t, op.rd, ReadReg(t, op.rs1) * ReadReg(t, op.rs2));
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kDiv: {
-      const std::uint64_t divisor = ReadReg(t, op.rs2);
-      WriteReg(t, op.rd, divisor == 0 ? 0 : ReadReg(t, op.rs1) / divisor);
-      t.pc = op.next_pc;
-      break;
-    }
-    case exec::FusedKind::kMod: {
-      const std::uint64_t divisor = ReadReg(t, op.rs2);
-      WriteReg(t, op.rd, divisor == 0 ? 0 : ReadReg(t, op.rs1) % divisor);
-      t.pc = op.next_pc;
-      break;
-    }
-    case exec::FusedKind::kAnd:
-      WriteReg(t, op.rd, ReadReg(t, op.rs1) & ReadReg(t, op.rs2));
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kOr:
-      WriteReg(t, op.rd, ReadReg(t, op.rs1) | ReadReg(t, op.rs2));
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kXor:
-      WriteReg(t, op.rd, ReadReg(t, op.rs1) ^ ReadReg(t, op.rs2));
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kAddI:
-      WriteReg(t, op.rd, ReadReg(t, op.rs1) + static_cast<std::uint64_t>(op.a));
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kCmpEq:
-      WriteReg(t, op.rd, ReadReg(t, op.rs1) == ReadReg(t, op.rs2) ? 1 : 0);
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kCmpNe:
-      WriteReg(t, op.rd, ReadReg(t, op.rs1) != ReadReg(t, op.rs2) ? 1 : 0);
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kCmpLt:
-      WriteReg(t, op.rd, ReadReg(t, op.rs1) < ReadReg(t, op.rs2) ? 1 : 0);
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kCmpLe:
-      WriteReg(t, op.rd, ReadReg(t, op.rs1) <= ReadReg(t, op.rs2) ? 1 : 0);
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kJmp:
-      t.pc = static_cast<ProgramCounter>(op.a);
-      next = op.target_op;
-      break;
-    case exec::FusedKind::kBnz:
-      if (ReadReg(t, op.rs1) != 0) {
-        t.pc = static_cast<ProgramCounter>(op.a);
-        next = op.target_op;
-      } else {
-        t.pc = op.next_pc;
-      }
-      break;
-    case exec::FusedKind::kBz:
-      if (ReadReg(t, op.rs1) == 0) {
-        t.pc = static_cast<ProgramCounter>(op.a);
-        next = op.target_op;
-      } else {
-        t.pc = op.next_pc;
-      }
-      break;
-    case exec::FusedKind::kCall:
-      t.sp -= 8;
-      memory.Write(t.sp, 8, op.next_pc);
-      t.pc = static_cast<ProgramCounter>(op.a);
-      next = op.target_op;
-      ++t.call_depth;
-      break;
-    case exec::FusedKind::kCallInd: {
-      const Addr ea = (op.base == kNoReg ? 0 : ReadReg(t, op.base)) +
-                      static_cast<std::uint64_t>(op.a);
-      const ProgramCounter target = memory.Read(ea, 8);
-      t.sp -= 8;
-      memory.Write(t.sp, 8, op.next_pc);
-      t.pc = target;
-      ++t.call_depth;
-      next = trans.OpIndexOfPc(target);
-      break;
-    }
-    case exec::FusedKind::kRet:
-      t.pc = memory.Read(t.sp, 8);
-      t.sp += 8;
-      if (t.call_depth > 0) {
-        --t.call_depth;
-      }
-      next = trans.OpIndexOfPc(t.pc);
-      break;
-    case exec::FusedKind::kPush:
-      t.sp -= 8;
-      memory.Write(t.sp, 8, ReadReg(t, op.rs1));
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kPushM: {
-      const Addr ea = (op.base == kNoReg ? 0 : ReadReg(t, op.base)) +
-                      static_cast<std::uint64_t>(op.a);
-      const std::uint64_t value = memory.Read(ea, op.size);
-      t.sp -= 8;
-      memory.Write(t.sp, 8, value);
-      t.pc = op.next_pc;
-      break;
-    }
-    case exec::FusedKind::kPop:
-      WriteReg(t, op.rd, memory.Read(t.sp, 8));
-      t.sp += 8;
-      t.pc = op.next_pc;
-      break;
-    case exec::FusedKind::kBarrier:
-      break;  // unreachable: callers test for barriers before executing
-  }
-  return next;
+  bool may = false;
+  exec::AccessShapes(op, [&](const exec::AccessShape& shape) {
+    may = may || regs.MayMatch(exec::AccessAddr(shape, t), shape.size);
+  });
+  return may;
 }
 
 }  // namespace
@@ -325,7 +126,7 @@ std::uint64_t Machine::RunTranslated(Cycles max_cycles, CoreId entry_core) {
     }
     now_ = c.clock;
     executing_core_ = entry_core;
-    block_cursors_[entry_core] = ExecFusedOp(ops, cur, t, memory_, trans);
+    block_cursors_[entry_core] = exec::ExecFusedOp(ops, cur, t, memory_, trans);
     c.clock += ucost;
     t.cpu_cycles += ucost;
     c.quantum_left -= std::min(ucost, c.quantum_left);
@@ -396,7 +197,7 @@ std::uint64_t Machine::RunTranslated(Cycles max_cycles, CoreId entry_core) {
                   break;
                 }
               }
-              cur0 = ExecFusedOp(ops, cur0, t0, memory_, trans);
+              cur0 = exec::ExecFusedOp(ops, cur0, t0, memory_, trans);
               ++done0;
               const exec::TransOp& o1 = ops[cur1];
               if (o1.kind == exec::FusedKind::kBarrier) {
@@ -411,7 +212,7 @@ std::uint64_t Machine::RunTranslated(Cycles max_cycles, CoreId entry_core) {
                   break;
                 }
               }
-              cur1 = ExecFusedOp(ops, cur1, t1, memory_, trans);
+              cur1 = exec::ExecFusedOp(ops, cur1, t1, memory_, trans);
               ++done1;
               if (cur0 == kNoOp || cur1 == kNoOp) {
                 break;  // dynamic target left translated code: re-derive by PC
@@ -534,7 +335,7 @@ std::uint64_t Machine::RunTranslated(Cycles max_cycles, CoreId entry_core) {
     std::uint32_t blk = ~std::uint32_t{0};
     bool blk_free = false;
     while (true) {
-      cu = ExecFusedOp(ops, cu, t, memory_, trans);
+      cu = exec::ExecFusedOp(ops, cu, t, memory_, trans);
       ++done;
       if (--budget == 0 || cu == kNoOp) {
         break;

@@ -38,8 +38,8 @@ FusedKind KindOf(Opcode op) {
     case Opcode::kPushM: return FusedKind::kPushM;
     case Opcode::kPop: return FusedKind::kPop;
     // Kernel entries, annotations, thread termination and the multi-word
-    // kRepMovs stay with the generic loop: they fire hooks, enter the
-    // kernel, or need the unbounded access-list machinery.
+    // kRepMovs are barriers (Machine::ExecBarrier): they fire hooks, enter
+    // the kernel, or need the unbounded access-list machinery.
     case Opcode::kHalt:
     case Opcode::kRepMovs:
     case Opcode::kSyscall:
@@ -68,49 +68,6 @@ bool IsControlTransfer(FusedKind kind) {
 bool HasStaticTarget(FusedKind kind) {
   return kind == FusedKind::kJmp || kind == FusedKind::kBnz || kind == FusedKind::kBz ||
          kind == FusedKind::kCall;
-}
-
-// One memory access an op can perform, as known at translation time:
-// static (base == kNoReg, address = offset) or dynamic otherwise.
-struct AccessShape {
-  RegId base = kNoReg;
-  std::int64_t offset = 0;
-  std::uint32_t size = 0;
-};
-
-// Appends the access shapes of `op` to `out` (mirrors
-// Machine::CollectAccesses; stack traffic uses base = kRegSp). Returns
-// false for kinds whose accesses cannot be enumerated here (barriers).
-bool AccessShapes(const TransOp& op, std::vector<AccessShape>& out) {
-  switch (op.kind) {
-    case FusedKind::kLoad:
-    case FusedKind::kStore:
-    case FusedKind::kXchg:
-      out.push_back({op.base, op.a, op.size});
-      return true;
-    case FusedKind::kMovM:
-      out.push_back({op.base2, op.b, op.size});
-      out.push_back({op.base, op.a, op.size});
-      return true;
-    case FusedKind::kPushM:
-      out.push_back({op.base, op.a, op.size});
-      out.push_back({kRegSp, 0, 8});
-      return true;
-    case FusedKind::kCallInd:
-      out.push_back({op.base, op.a, 8});
-      out.push_back({kRegSp, 0, 8});
-      return true;
-    case FusedKind::kPush:
-    case FusedKind::kCall:
-    case FusedKind::kPop:
-    case FusedKind::kRet:
-      out.push_back({kRegSp, 0, 8});
-      return true;
-    case FusedKind::kBarrier:
-      return false;
-    default:
-      return true;  // no memory access
-  }
 }
 
 }  // namespace
@@ -186,7 +143,6 @@ BlockTranslation::BlockTranslation(const Program& program) {
   }
 
   // Form blocks and derive each block's static footprint.
-  std::vector<AccessShape> shapes;
   for (std::size_t i = 0; i < n;) {
     std::size_t end = i + 1;
     while (end < n && !leader[end]) {
@@ -201,24 +157,23 @@ BlockTranslation::BlockTranslation(const Program& program) {
     block.hull_hi = 0;
     for (std::size_t j = i; j < end; ++j) {
       ops_[j].block = static_cast<std::uint32_t>(blocks_.size());
-      shapes.clear();
-      if (!AccessShapes(ops_[j], shapes)) {
-        // Barrier: accesses unknown at translation time.
+      if (ops_[j].kind == FusedKind::kBarrier) {
+        // Accesses unknown at translation time.
         block.all_static = false;
         block.has_mem = true;
         continue;
       }
-      for (const AccessShape& shape : shapes) {
+      AccessShapes(ops_[j], [this, &block](const AccessShape& shape) {
         block.has_mem = true;
         if (shape.base != kNoReg) {
           block.all_static = false;
-          continue;
+          return;
         }
         const Addr addr = static_cast<Addr>(shape.offset);
         footprint_.push_back({addr, shape.size});
         block.hull_lo = std::min(block.hull_lo, addr);
         block.hull_hi = std::max(block.hull_hi, addr + shape.size);
-      }
+      });
     }
     block.fp_end = static_cast<std::uint32_t>(footprint_.size());
     if (block.fp_first == block.fp_end) {

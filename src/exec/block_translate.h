@@ -1,23 +1,24 @@
 // Basic-block translation of a Program (docs/performance.md).
 //
-// The second-generation execution engine stops re-dispatching the fat
-// Instruction struct per step: a one-time leader analysis over the program
-// discovers basic blocks, each instruction is predecoded into a compact
-// TransOp specialized by addressing mode, and static branch/call targets are
-// resolved to op indices so the hot loop chains ops without touching the
-// PC->index table. Per-block *static footprints* (the accesses performed
-// through absolute operands) let the interpreter prove at translation time
-// that a whole block can never touch an armed watchpoint range — such
-// blocks run check-free, hoisting the per-access watchpoint filter to the
-// block boundary (the check-hoisting idea of "Fast Atomicity Monitoring";
-// the translation tier itself follows Valgrind's ucode playbook).
+// A one-time leader analysis over the program discovers basic blocks, each
+// instruction is predecoded into a compact TransOp specialized by
+// addressing mode, and static branch/call targets are resolved to op
+// indices so the block engine chains ops without touching the PC->index
+// table. Both execution engines run these ops (exec/fused_op.h): the block
+// engine a block at a time, the per-instruction engine one op at a time.
+// Per-block *static footprints* (the accesses performed through absolute
+// operands) let the block engine prove at translation time that a whole
+// block can never touch an armed watchpoint range — such blocks run
+// check-free, hoisting the per-access watchpoint filter to the block
+// boundary (the check-hoisting idea of "Fast Atomicity Monitoring"; the
+// translation tier itself follows Valgrind's ucode playbook).
 //
 // The translation is derived once per ProgramImage, so sweep, fuzz and
 // shrink workers sharing an image share the translation. It is purely
 // structural: PCs, instruction indices and per-instruction costs are
-// preserved exactly, which is what keeps block runs byte-identical to the
-// PR 5 fast loop and the reference loop (block_translate_test), and keeps
-// `kivati annotate`/`analyze` line attribution untouched.
+// preserved exactly, which is what keeps block runs byte-identical to
+// per-instruction runs and to the engine goldens (block_translate_test),
+// and keeps `kivati annotate`/`analyze` line attribution untouched.
 #ifndef KIVATI_EXEC_BLOCK_TRANSLATE_H_
 #define KIVATI_EXEC_BLOCK_TRANSLATE_H_
 
@@ -34,8 +35,9 @@ namespace exec {
 // Predecoded operation kinds. kBarrier marks instructions the block engine
 // never executes itself — syscalls, annotations (kABegin/kAEnd/kAClear),
 // kHalt and kRepMovs — because they enter the kernel, fire hooks, or need
-// the full access-list machinery; the engine bails out and the generic loop
-// executes them. Barriers always form singleton blocks.
+// the full access-list machinery; the engine bails out and the
+// per-instruction engine executes them (Machine::ExecBarrier). Barriers
+// always form singleton blocks.
 enum class FusedKind : std::uint8_t {
   kBarrier,
   kNop,
@@ -92,6 +94,69 @@ struct TransOp {
   std::int64_t a = 0;
   std::int64_t b = 0;
 };
+
+// One memory access an op performs, as known at translation time: the
+// address is the value of `base` before the op executes plus `offset`.
+// base == kNoReg is an absolute operand (the address is `offset`, known
+// statically); base == kRegSp is stack traffic, so pushes and calls write at
+// offset -8 (the pre-decrement) and pops and returns read at offset 0. A
+// kReadWrite access is an atomic read-modify-write (kXchg): a read and then
+// a write of the same bytes.
+struct AccessShape {
+  RegId base = kNoReg;
+  std::uint8_t size = 0;
+  WatchType type = WatchType::kRead;  // kRead, kWrite or kReadWrite
+  std::int64_t offset = 0;
+};
+
+// The one per-op access descriptor: calls `visit(shape)` for each memory
+// access of `op`, in program order. The translator's static footprint, the
+// block engine's may-trap filter and the per-instruction engine's access
+// list (old values, trap matching, access events) are all derived from it.
+// Barriers have no accesses here: kRepMovs's word-by-word accesses depend
+// on registers and are listed on the barrier path
+// (Machine::CollectAccesses), and the other barriers access no memory. A
+// visitor rather than a returned list keeps the per-op filter in the block
+// engine's hot loop as cheap as a hand-written switch.
+template <typename Visit>
+inline void AccessShapes(const TransOp& op, Visit&& visit) {
+  const auto shape = [](RegId base, std::int64_t offset, unsigned size, WatchType type) {
+    return AccessShape{base, static_cast<std::uint8_t>(size), type, offset};
+  };
+  switch (op.kind) {
+    case FusedKind::kLoad:
+      visit(shape(op.base, op.a, op.size, WatchType::kRead));
+      break;
+    case FusedKind::kStore:
+      visit(shape(op.base, op.a, op.size, WatchType::kWrite));
+      break;
+    case FusedKind::kXchg:
+      visit(shape(op.base, op.a, op.size, WatchType::kReadWrite));
+      break;
+    case FusedKind::kMovM:
+      visit(shape(op.base2, op.b, op.size, WatchType::kRead));
+      visit(shape(op.base, op.a, op.size, WatchType::kWrite));
+      break;
+    case FusedKind::kPushM:
+      visit(shape(op.base, op.a, op.size, WatchType::kRead));
+      visit(shape(kRegSp, -8, 8, WatchType::kWrite));
+      break;
+    case FusedKind::kCallInd:
+      visit(shape(op.base, op.a, 8, WatchType::kRead));
+      visit(shape(kRegSp, -8, 8, WatchType::kWrite));
+      break;
+    case FusedKind::kPush:
+    case FusedKind::kCall:
+      visit(shape(kRegSp, -8, 8, WatchType::kWrite));
+      break;
+    case FusedKind::kPop:
+    case FusedKind::kRet:
+      visit(shape(kRegSp, 0, 8, WatchType::kRead));
+      break;
+    default:
+      break;  // no memory access, or a barrier
+  }
+}
 
 // One access from a block's static footprint: performed through an absolute
 // memory operand, so its address is known at translation time.

@@ -6,12 +6,11 @@
 // (warmup — page faults, chunk materialization and block translation do not
 // pollute the timings) and `repeats` timed times, reporting the median wall
 // time converted to simulated Mcycles/s and MIPS. Each cell is measured per
-// engine — "block" (basic-block translation, the default), "fast" (the
-// per-instruction optimized loop, --no-block-translate) and "reference"
-// (--no-fast-loop) — so the whole speedup stack is visible in one report.
-// The simulated outcome (cycles, instructions) is determinism-checked
-// across repeats and engines — a throughput number from a diverging run
-// would be meaningless.
+// engine — "block" (basic-block translation, the default) and "fast" (the
+// per-instruction engine, --no-block-translate) — so the block engine's
+// speedup is visible in one report. The simulated outcome (cycles,
+// instructions) is determinism-checked across repeats and engines — a
+// throughput number from a diverging run would be meaningless.
 #ifndef KIVATI_EXP_INTERP_BENCH_H_
 #define KIVATI_EXP_INTERP_BENCH_H_
 
@@ -41,15 +40,14 @@ struct InterpBenchSpec {
   // Absent -> the workload's default budget.
   std::optional<Cycles> max_cycles;
   apps::LoadScale scale;
-  // Engine selection (all three by default).
+  // Engine selection (both by default).
   bool include_block = true;
   bool include_fast = true;
-  bool include_reference = true;
 };
 
 struct InterpBenchEntry {
   std::string label;   // "nss/base/prevention/c2w4/s1"
-  std::string engine;  // "block", "fast" or "reference"
+  std::string engine;  // "block" or "fast"
   Cycles cycles = 0;
   std::uint64_t instructions = 0;
   double median_wall_ms = 0.0;
@@ -66,7 +64,7 @@ std::vector<InterpBenchEntry> RunInterpBench(
 
 // Envelope-wrapped report (report::Envelope, kind "kivati_interp_bench"):
 // {"kind":"kivati_interp_bench","schema_version":2,"entries":[...]}.
-// schema_version 2 replaced the v1 per-entry `fast_loop` bool and
+// schema_version 2 replaced the v1 per-entry optimized-loop bool and
 // `best_wall_ms` with `engine` and `median_wall_ms`.
 std::string InterpBenchJson(const std::vector<InterpBenchEntry>& entries);
 

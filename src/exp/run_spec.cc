@@ -89,6 +89,19 @@ const apps::BugInfo* FindCorpusBug(const std::string& name) {
   return nullptr;
 }
 
+std::string UnknownBugMessage(const std::string& name) {
+  std::string known;
+  for (const auto& corpus : {CorpusBugNames(), MultiVarBugNames()}) {
+    for (const std::string& bug : corpus) {
+      if (!known.empty()) {
+        known += ", ";
+      }
+      known += bug;
+    }
+  }
+  return "unknown bug '" + name + "' (known: " + known + ")";
+}
+
 const std::vector<std::string>& RegisteredApps() {
   static const std::vector<std::string> kNames = {"nss", "vlc", "webstone", "tpcw", "specomp"};
   return kNames;
@@ -134,14 +147,7 @@ std::shared_ptr<const apps::App> ResolveApp(const RunSpec& spec) {
   if (!spec.bug.empty()) {
     const apps::BugInfo* bug = FindCorpusBug(spec.bug);
     if (bug == nullptr) {
-      std::string known;
-      for (const std::string& name : CorpusBugNames()) {
-        known += (known.empty() ? "" : ", ") + name;
-      }
-      for (const std::string& name : MultiVarBugNames()) {
-        known += ", " + name;
-      }
-      throw std::runtime_error("unknown bug '" + spec.bug + "' (known: " + known + ")");
+      throw std::runtime_error(UnknownBugMessage(spec.bug));
     }
     return std::make_shared<const apps::App>(
         apps::MakeBugApp(*bug, spec.scale.prune, spec.scale.correlate));

@@ -124,6 +124,9 @@ std::vector<std::string> CorpusBugNames();
 // "APP-ID" format. FindCorpusBug resolves names from both corpora.
 std::vector<std::string> MultiVarBugNames();
 const apps::BugInfo* FindCorpusBug(const std::string& name);
+// "unknown bug 'NAME' (known: ...)", listing every bug of both corpora —
+// the one error text for a name FindCorpusBug rejects.
+std::string UnknownBugMessage(const std::string& name);
 
 // Builds one registered application. Throws std::runtime_error for an
 // unknown name.

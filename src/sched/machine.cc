@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "common/log.h"
+#include "exec/fused_op.h"
 
 namespace kivati {
 
@@ -203,17 +204,6 @@ void Machine::WakeExpiredTimers() {
 }
 
 Cycles Machine::EarliestDeadlineSlow() const {
-  if (!config_.fast_loop) {
-    // Reference loop: always scan (the cache is still maintained, but the
-    // reference path must not depend on it).
-    Cycles earliest = ~Cycles{0};
-    for (const auto& tp : threads_) {
-      if (IsTimedWait(*tp)) {
-        earliest = std::min(earliest, tp->wake_at);
-      }
-    }
-    return earliest;
-  }
   Cycles earliest = ~Cycles{0};
   for (const auto& tp : threads_) {
     if (IsTimedWait(*tp)) {
@@ -309,9 +299,7 @@ Machine::IdleOutcome Machine::IdleCoreStep(CoreId core) {
     hooks_->OnKernelEntry(core);
     Reschedule(core, /*timer_interrupt=*/false);
     if (c.current != kInvalidThread) {
-      if (config_.fast_loop) {
-        FixMinCoreAfterAdvance(core);
-      }
+      FixMinCoreAfterAdvance(core);
       return IdleOutcome::kProgress;
     }
   }
@@ -332,43 +320,27 @@ Machine::IdleOutcome Machine::IdleCoreStep(CoreId core) {
     next_time = c.clock + 1;
   }
   c.clock = std::max(c.clock + 1, next_time);
-  if (config_.fast_loop) {
-    FixMinCoreAfterAdvance(core);
-  }
+  FixMinCoreAfterAdvance(core);
   return IdleOutcome::kProgress;
 }
 
-
 RunResult Machine::Run(Cycles max_cycles) {
   RunResult result;
-  const bool fast = config_.fast_loop;
-  // Block-translated execution needs the fast loop's caches and hands
-  // per-instruction control back whenever something needs instruction-exact
-  // decisions: a replaying or guided ScheduleController (record mode stays
-  // on — the decision stream is identical either way), address tracing, or
-  // an access-level trace sink (that one is re-checked per RunTranslated
-  // entry, since sinks may subscribe mid-run).
-  const bool block_ok = fast && config_.block_translate &&
-                        config_.trace_addr == kInvalidAddr &&
+  // Block-translated execution hands per-instruction control back whenever
+  // something needs instruction-exact decisions: a replaying or guided
+  // ScheduleController (record mode stays on — the decision stream is
+  // identical either way), address tracing, or an access-level trace sink
+  // (that one is re-checked per RunTranslated entry, since sinks may
+  // subscribe mid-run).
+  const bool block_ok = config_.block_translate && config_.trace_addr == kInvalidAddr &&
                         (sched_ctl_ == nullptr || !sched_ctl_->replaying());
   while (true) {
-    const bool all_done = fast ? live_count_ == 0 : live_threads() == 0;
-    if (all_done) {
+    if (live_count_ == 0) {
       result.all_done = true;
       break;
     }
     // Pick the core with the smallest clock (ties by core id).
-    CoreId core;
-    if (fast) {
-      core = MinClockCore();
-    } else {
-      core = 0;
-      for (CoreId i = 1; i < cores_.size(); ++i) {
-        if (cores_[i].clock < cores_[core].clock) {
-          core = i;
-        }
-      }
-    }
+    const CoreId core = MinClockCore();
     Core& c = cores_[core];
     if (c.clock >= max_cycles) {
       result.hit_limit = true;
@@ -377,7 +349,7 @@ RunResult Machine::Run(Cycles max_cycles) {
     now_ = c.clock;
     // The scan in WakeExpiredTimers wakes nothing unless a deadline has
     // expired; the cached earliest deadline makes that check O(1).
-    if (!fast || EarliestDeadline() <= now_) {
+    if (EarliestDeadline() <= now_) {
       WakeExpiredTimers();
     }
 
@@ -403,9 +375,7 @@ RunResult Machine::Run(Cycles max_cycles) {
       continue;
     }
     ExecuteOne(core);
-    if (fast) {
-      FixMinCoreAfterAdvance(core);
-    }
+    FixMinCoreAfterAdvance(core);
   }
   Cycles end = 0;
   for (const auto& c : cores_) {
@@ -420,68 +390,37 @@ RunResult Machine::Run(Cycles max_cycles) {
   return result;
 }
 
-void Machine::CollectAccesses(const ThreadContext& t, const Instruction& instr,
+void Machine::CollectAccesses(const ThreadContext& t, std::uint32_t index,
                               std::vector<MemAccess>& out,
                               const DebugRegisterFile* filter) const {
   out.clear();
-  // old_value is captured after the switch below — for every access, or
-  // (fast loop) only for accesses an armed watchpoint could match. Old
-  // values are consumed solely when the kernel undoes the *trapped* access,
-  // so skipping the capture for accesses that cannot trap is exact.
-  switch (instr.op) {
-    case Opcode::kLoad:
-      out.push_back({EffectiveAddress(t, instr.mem), instr.size, AccessType::kRead});
-      break;
-    case Opcode::kStore:
-      out.push_back({EffectiveAddress(t, instr.mem), instr.size, AccessType::kWrite});
-      break;
-    case Opcode::kMovM:
-      out.push_back({EffectiveAddress(t, instr.mem2), instr.size, AccessType::kRead});
-      out.push_back({EffectiveAddress(t, instr.mem), instr.size, AccessType::kWrite});
-      break;
-    case Opcode::kXchg: {
-      const Addr ea = EffectiveAddress(t, instr.mem);
-      out.push_back({ea, instr.size, AccessType::kRead});
-      out.push_back({ea, instr.size, AccessType::kWrite});
-      break;
-    }
-    case Opcode::kPush:
-      out.push_back({t.sp - 8, 8, AccessType::kWrite});
-      break;
-    case Opcode::kPushM:
-      out.push_back({EffectiveAddress(t, instr.mem), instr.size, AccessType::kRead});
-      out.push_back({t.sp - 8, 8, AccessType::kWrite});
-      break;
-    case Opcode::kPop:
-      out.push_back({t.sp, 8, AccessType::kRead});
-      break;
-    case Opcode::kCall:
-      out.push_back({t.sp - 8, 8, AccessType::kWrite});
-      break;
-    case Opcode::kCallInd:
-      out.push_back({EffectiveAddress(t, instr.mem), 8, AccessType::kRead});
-      out.push_back({t.sp - 8, 8, AccessType::kWrite});
-      break;
-    case Opcode::kRet:
-      out.push_back({t.sp, 8, AccessType::kRead});
-      break;
-    case Opcode::kRepMovs: {
-      // Every word of the repetition is an access; as on pre-Pentium-4
-      // hardware, the trap for any of them is only delivered after the
-      // whole instruction (paper §3.5), which is what trap-after delivery
-      // of the instruction's access list models.
-      const std::uint64_t count = ReadReg(t, instr.rd);
-      const Addr src = ReadReg(t, instr.rs1);
-      const Addr dst = ReadReg(t, instr.rs2);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        out.push_back({src + 8 * i, 8, AccessType::kRead});
-        out.push_back({dst + 8 * i, 8, AccessType::kWrite});
+  const exec::TransOp& op = image_->blocks.op(index);
+  if (op.kind != exec::FusedKind::kBarrier) {
+    exec::AccessShapes(op, [&](const exec::AccessShape& shape) {
+      const Addr addr = exec::AccessAddr(shape, t);
+      if (shape.type != WatchType::kWrite) {
+        out.push_back({addr, shape.size, AccessType::kRead});
       }
-      break;
+      if (shape.type != WatchType::kRead) {
+        out.push_back({addr, shape.size, AccessType::kWrite});
+      }
+    });
+  } else if (const Instruction& instr = image_->program.At(index);
+             instr.op == Opcode::kRepMovs) {
+    // Every word of the repetition is an access; as on pre-Pentium-4
+    // hardware, the trap for any of them is only delivered after the
+    // whole instruction (paper §3.5), which is what trap-after delivery
+    // of the instruction's access list models.
+    const std::uint64_t count = ReadReg(t, instr.rd);
+    const Addr src = ReadReg(t, instr.rs1);
+    const Addr dst = ReadReg(t, instr.rs2);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      out.push_back({src + 8 * i, 8, AccessType::kRead});
+      out.push_back({dst + 8 * i, 8, AccessType::kWrite});
     }
-    default:
-      break;
   }
+  // Old values are consumed solely when the kernel undoes the *trapped*
+  // access, so skipping the capture for accesses that cannot trap is exact.
   for (MemAccess& access : out) {
     if (filter == nullptr || filter->MayMatch(access.addr, access.size)) {
       access.old_value = memory_.Read(access.addr, access.size);
@@ -489,157 +428,11 @@ void Machine::CollectAccesses(const ThreadContext& t, const Instruction& instr,
   }
 }
 
-void Machine::ApplySemantics(CoreId core, ThreadContext& t, const Instruction& instr,
-                             unsigned length, const MemAccess* accesses) {
-  const ProgramCounter next_pc = t.pc + length;
+void Machine::ExecBarrier(CoreId core, ThreadContext& t, const Instruction& instr,
+                          ProgramCounter next_pc) {
   switch (instr.op) {
-    case Opcode::kNop:
-      t.pc = next_pc;
-      break;
     case Opcode::kHalt:
       ExitThread(t.tid, 0);
-      break;
-    case Opcode::kLoadImm:
-      WriteReg(t, instr.rd, static_cast<std::uint64_t>(instr.imm));
-      t.pc = next_pc;
-      break;
-    case Opcode::kMov:
-      WriteReg(t, instr.rd, ReadReg(t, instr.rs1));
-      t.pc = next_pc;
-      break;
-    case Opcode::kLoad: {
-      // When `accesses` is given, reuse the effective address computed by
-      // CollectAccesses (hooks cannot alter registers in between).
-      const Addr ea = accesses != nullptr ? accesses[0].addr : EffectiveAddress(t, instr.mem);
-      WriteReg(t, instr.rd, memory_.Read(ea, instr.size));
-      t.pc = next_pc;
-      break;
-    }
-    case Opcode::kStore: {
-      const Addr ea = accesses != nullptr ? accesses[0].addr : EffectiveAddress(t, instr.mem);
-      memory_.Write(ea, instr.size, ReadReg(t, instr.rs1));
-      t.pc = next_pc;
-      break;
-    }
-    case Opcode::kMovM: {
-      const Addr src = accesses != nullptr ? accesses[0].addr : EffectiveAddress(t, instr.mem2);
-      const Addr dst = accesses != nullptr ? accesses[1].addr : EffectiveAddress(t, instr.mem);
-      memory_.Write(dst, instr.size, memory_.Read(src, instr.size));
-      t.pc = next_pc;
-      break;
-    }
-    case Opcode::kXchg: {
-      const Addr ea = accesses != nullptr ? accesses[0].addr : EffectiveAddress(t, instr.mem);
-      const std::uint64_t old = memory_.Read(ea, instr.size);
-      memory_.Write(ea, instr.size, ReadReg(t, instr.rs1));
-      WriteReg(t, instr.rd, old);
-      t.pc = next_pc;
-      break;
-    }
-    case Opcode::kAdd:
-      WriteReg(t, instr.rd, ReadReg(t, instr.rs1) + ReadReg(t, instr.rs2));
-      t.pc = next_pc;
-      break;
-    case Opcode::kSub:
-      WriteReg(t, instr.rd, ReadReg(t, instr.rs1) - ReadReg(t, instr.rs2));
-      t.pc = next_pc;
-      break;
-    case Opcode::kMul:
-      WriteReg(t, instr.rd, ReadReg(t, instr.rs1) * ReadReg(t, instr.rs2));
-      t.pc = next_pc;
-      break;
-    case Opcode::kDiv: {
-      const std::uint64_t divisor = ReadReg(t, instr.rs2);
-      WriteReg(t, instr.rd, divisor == 0 ? 0 : ReadReg(t, instr.rs1) / divisor);
-      t.pc = next_pc;
-      break;
-    }
-    case Opcode::kMod: {
-      const std::uint64_t divisor = ReadReg(t, instr.rs2);
-      WriteReg(t, instr.rd, divisor == 0 ? 0 : ReadReg(t, instr.rs1) % divisor);
-      t.pc = next_pc;
-      break;
-    }
-    case Opcode::kAnd:
-      WriteReg(t, instr.rd, ReadReg(t, instr.rs1) & ReadReg(t, instr.rs2));
-      t.pc = next_pc;
-      break;
-    case Opcode::kOr:
-      WriteReg(t, instr.rd, ReadReg(t, instr.rs1) | ReadReg(t, instr.rs2));
-      t.pc = next_pc;
-      break;
-    case Opcode::kXor:
-      WriteReg(t, instr.rd, ReadReg(t, instr.rs1) ^ ReadReg(t, instr.rs2));
-      t.pc = next_pc;
-      break;
-    case Opcode::kAddI:
-      WriteReg(t, instr.rd, ReadReg(t, instr.rs1) + static_cast<std::uint64_t>(instr.imm));
-      t.pc = next_pc;
-      break;
-    case Opcode::kCmpEq:
-      WriteReg(t, instr.rd, ReadReg(t, instr.rs1) == ReadReg(t, instr.rs2) ? 1 : 0);
-      t.pc = next_pc;
-      break;
-    case Opcode::kCmpNe:
-      WriteReg(t, instr.rd, ReadReg(t, instr.rs1) != ReadReg(t, instr.rs2) ? 1 : 0);
-      t.pc = next_pc;
-      break;
-    case Opcode::kCmpLt:
-      WriteReg(t, instr.rd, ReadReg(t, instr.rs1) < ReadReg(t, instr.rs2) ? 1 : 0);
-      t.pc = next_pc;
-      break;
-    case Opcode::kCmpLe:
-      WriteReg(t, instr.rd, ReadReg(t, instr.rs1) <= ReadReg(t, instr.rs2) ? 1 : 0);
-      t.pc = next_pc;
-      break;
-    case Opcode::kJmp:
-      t.pc = static_cast<ProgramCounter>(instr.target);
-      break;
-    case Opcode::kBnz:
-      t.pc = ReadReg(t, instr.rs1) != 0 ? static_cast<ProgramCounter>(instr.target) : next_pc;
-      break;
-    case Opcode::kBz:
-      t.pc = ReadReg(t, instr.rs1) == 0 ? static_cast<ProgramCounter>(instr.target) : next_pc;
-      break;
-    case Opcode::kCall:
-      t.sp -= 8;
-      memory_.Write(t.sp, 8, next_pc);
-      t.pc = static_cast<ProgramCounter>(instr.target);
-      ++t.call_depth;
-      break;
-    case Opcode::kCallInd: {
-      const Addr ea = accesses != nullptr ? accesses[0].addr : EffectiveAddress(t, instr.mem);
-      const ProgramCounter target = memory_.Read(ea, 8);
-      t.sp -= 8;
-      memory_.Write(t.sp, 8, next_pc);
-      t.pc = target;
-      ++t.call_depth;
-      break;
-    }
-    case Opcode::kRet:
-      t.pc = memory_.Read(t.sp, 8);
-      t.sp += 8;
-      if (t.call_depth > 0) {
-        --t.call_depth;
-      }
-      break;
-    case Opcode::kPush:
-      t.sp -= 8;
-      memory_.Write(t.sp, 8, ReadReg(t, instr.rs1));
-      t.pc = next_pc;
-      break;
-    case Opcode::kPushM: {
-      const Addr ea = accesses != nullptr ? accesses[0].addr : EffectiveAddress(t, instr.mem);
-      const std::uint64_t value = memory_.Read(ea, instr.size);
-      t.sp -= 8;
-      memory_.Write(t.sp, 8, value);
-      t.pc = next_pc;
-      break;
-    }
-    case Opcode::kPop:
-      WriteReg(t, instr.rd, memory_.Read(t.sp, 8));
-      t.sp += 8;
-      t.pc = next_pc;
       break;
     case Opcode::kRepMovs: {
       const std::uint64_t count = ReadReg(t, instr.rd);
@@ -673,6 +466,8 @@ void Machine::ApplySemantics(CoreId core, ThreadContext& t, const Instruction& i
         hooks_->OnClearAr(t.tid, t.call_depth);
       }
       break;
+    default:
+      break;  // not a barrier: executed by exec::ExecFusedOp
   }
 }
 
@@ -753,11 +548,11 @@ void Machine::ExitThread(ThreadId tid, std::uint64_t status) {
   }
 }
 
-void Machine::EmitAccessEvents(const ThreadContext& t, const Instruction& instr) {
+void Machine::EmitAccessEvents(const ThreadContext& t, const exec::TransOp& op) {
   const std::uint32_t mask = trace_.hub().mask();
   // Lock acquisition compiles to an atomic read-modify-write (kXchg);
   // detectors key lock inference off this flag.
-  const bool atomic_rmw = instr.op == Opcode::kXchg;
+  const bool atomic_rmw = op.kind == exec::FusedKind::kXchg;
   for (const MemAccess& access : access_scratch_) {
     // Shared data only: globals and heap. Stacks (thread-private) and the
     // Kivati replica page (runtime-internal) are architecturally invisible
@@ -793,43 +588,33 @@ void Machine::ExecuteOne(CoreId core) {
     ExitThread(t.tid, t.regs[0]);
     return;
   }
-  const Program& program = image_->program;
-  const auto index = program.IndexOfPc(t.pc);
-  if (!index.has_value()) {
+  const exec::BlockTranslation& trans = image_->blocks;
+  const std::uint32_t index = trans.OpIndexOfPc(t.pc);
+  if (index == exec::BlockTranslation::kNoOp) {
     KIVATI_LOG(kError) << "thread " << t.tid << " jumped to invalid pc 0x" << std::hex << t.pc;
     ExitThread(t.tid, ~std::uint64_t{0});
     return;
   }
-  const Instruction& instr = program.At(*index);
-  const unsigned length = program.LengthAt(*index);
+  const exec::TransOp& op = trans.op(index);
   current_instruction_pc_ = t.pc;
   pending_extra_ = 0;
   Cycles cost = config_.costs.user_instruction;
 
-  // Access-level event sinks (the HB detector, --trace-events=access) need
-  // every instruction's access list with old values; the cached hub mask
-  // makes the check one load-and-test, and with no sink attached the fast
-  // loop below is untouched.
+  // The access list is observed by three consumers: trap delivery (only
+  // with a watchpoint armed on this core), address tracing, and
+  // access-level event sinks (the HB detector, --trace-events=access; the
+  // cached hub mask makes that check one load-and-test). With none of them,
+  // skip building it (and the old-value memory reads) entirely. With only
+  // watchpoints armed, MayMatch skips the old-value capture for accesses
+  // outside the armed range hull.
   const bool access_events = (trace_.hub().mask() & kAccessEventKinds) != 0;
-  bool collected = true;
-  if (!config_.fast_loop) {
-    CollectAccesses(t, instr, access_scratch_);
+  const bool tracing = config_.trace_addr != kInvalidAddr;
+  const bool armed = hooks_ != nullptr && c.debug_regs.any_armed();
+  if (tracing || armed || access_events) {
+    CollectAccesses(t, index, access_scratch_,
+                    tracing || access_events ? nullptr : &c.debug_regs);
   } else {
-    // Fast loop: when no armed watchpoint exists on this core, address
-    // tracing is off and no sink wants access events, nobody observes the
-    // access list — skip building it (and the old-value memory reads)
-    // entirely. With watchpoints armed, collect but let MayMatch skip
-    // old-value capture for accesses outside the armed range hull (unless a
-    // consumer needs the values themselves).
-    const bool tracing = config_.trace_addr != kInvalidAddr;
-    const bool armed = hooks_ != nullptr && c.debug_regs.any_armed();
-    if (tracing || armed || access_events) {
-      CollectAccesses(t, instr, access_scratch_,
-                      tracing || access_events ? nullptr : &c.debug_regs);
-    } else {
-      access_scratch_.clear();
-      collected = false;
-    }
+    access_scratch_.clear();
   }
 
   bool cancelled = false;
@@ -846,7 +631,7 @@ void Machine::ExecuteOne(CoreId core) {
   }
 
   if (!cancelled) {
-    if (config_.trace_addr != kInvalidAddr) {
+    if (tracing) {
       for (const MemAccess& access : access_scratch_) {
         if (access.type == AccessType::kWrite && access.addr <= config_.trace_addr &&
             config_.trace_addr < access.addr + access.size) {
@@ -855,21 +640,23 @@ void Machine::ExecuteOne(CoreId core) {
         }
       }
     }
-    const MemAccess* eas =
-        config_.fast_loop && collected && !access_scratch_.empty() ? access_scratch_.data()
-                                                                   : nullptr;
-    ApplySemantics(core, t, instr, length, eas);
+    if (op.kind == exec::FusedKind::kBarrier) {
+      ExecBarrier(core, t, image_->program.At(index), op.next_pc);
+    } else {
+      exec::ExecFusedOp(trans.ops(), index, t, memory_, trans);
+    }
     if (traced_write_pending_) {
       traced_write_pending_ = false;
       KIVATI_LOG(kDebug) << "write: t" << t.tid << " pc=0x" << std::hex
-                         << current_instruction_pc_ << " " << ToString(instr.op) << " [0x"
+                         << current_instruction_pc_ << " "
+                         << ToString(image_->program.At(index).op) << " [0x"
                          << config_.trace_addr << "] = " << std::dec
                          << memory_.Read(config_.trace_addr, 8) << " at " << now_;
     }
     ++t.instructions;
     ++instructions_executed_;
     if (access_events && !access_scratch_.empty()) {
-      EmitAccessEvents(t, instr);
+      EmitAccessEvents(t, op);
     }
     if (config_.trap_delivery == TrapDelivery::kAfter && hooks_ != nullptr) {
       for (const MemAccess& access : access_scratch_) {

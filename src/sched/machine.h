@@ -58,20 +58,17 @@ struct MachineConfig {
   // Debug aid: every committed write overlapping this address is logged at
   // debug level with thread, PC and value.
   Addr trace_addr = kInvalidAddr;
-  // Use the optimized interpreter loop (armed-watchpoint access filtering,
-  // cached scheduler bookkeeping, effective-address reuse). Turning it off
-  // selects the straightforward reference loop, which must produce
-  // byte-identical runs — the determinism guardrail of docs/performance.md
-  // (`kivati run --no-fast-loop`, fast_loop_test).
-  bool fast_loop = true;
   // Execute through the basic-block translation engine (exec/
   // block_translate.h): predecoded fused superinstructions with the
   // per-instruction watchpoint filter and scheduler poll hoisted to block
-  // boundaries. Only active together with fast_loop; the engine
-  // deoptimizes to per-instruction execution whenever a replaying/guided
-  // ScheduleController, an access-level trace sink, or address tracing
-  // needs instruction-exact decisions, and must be byte-identical either
-  // way (`kivati run --no-block-translate`, block_translate_test).
+  // boundaries. Off selects the per-instruction engine, which executes the
+  // same predecoded ops one at a time with the full access-list and trap
+  // machinery and is the block engine's differential reference. The block
+  // engine deoptimizes to per-instruction execution whenever a
+  // replaying/guided ScheduleController, an access-level trace sink, or
+  // address tracing needs instruction-exact decisions, and must be
+  // byte-identical either way (`kivati run --no-block-translate`,
+  // block_translate_test, tests/golden/engine_digests.txt).
   bool block_translate = true;
 };
 
@@ -208,10 +205,9 @@ class Machine {
 
   void WakeExpiredTimers();
   // Inline cached-hit path: the per-iteration expiry check must not cost a
-  // function call. The slow path rescans (and always scans when the
-  // reference loop is active, which must not depend on the cache).
+  // function call. The slow path rescans and refreshes the cache.
   Cycles EarliestDeadline() const {
-    if (config_.fast_loop && earliest_valid_) {
+    if (earliest_valid_) {
       return earliest_deadline_;
     }
     return EarliestDeadlineSlow();
@@ -219,7 +215,7 @@ class Machine {
   Cycles EarliestDeadlineSlow() const;
   bool AnyDeadline() const;
 
-  // --- Timed-wait bookkeeping (fast loop, docs/performance.md) -------------
+  // --- Timed-wait bookkeeping (docs/performance.md) -------------------------
   // `timed_waiters_` counts threads in a timed wait (sleeping, or suspended
   // with a deadline); `earliest_deadline_` caches their minimum wake time so
   // the hot loop's expiry check is O(1) in the no-expiry common case. The
@@ -274,7 +270,10 @@ class Machine {
   enum class IdleOutcome : std::uint8_t { kProgress, kDeadlock };
   IdleOutcome IdleCoreStep(CoreId core);
 
-  // Executes one instruction of core's current thread; advances the clock.
+  // The per-instruction engine: executes one instruction of core's current
+  // thread — a predecoded op through exec::ExecFusedOp, or a barrier
+  // through ExecBarrier — with the full access-list, trap and access-event
+  // machinery, and advances the clock.
   void ExecuteOne(CoreId core);
 
   // The block-translation engine's fused loop (exec/block_exec.cc): runs
@@ -292,28 +291,26 @@ class Machine {
   // must take the generic path.
   std::uint64_t RunTranslated(Cycles max_cycles, CoreId entry_core);
 
-  // Applies the semantics of `instr` for thread `t`. Returns the accesses
-  // performed (in program order) for watchpoint checking. `filter` (fast
-  // loop only) skips the old-value capture for accesses no armed watchpoint
+  // The accesses of op `index` for thread `t`, in program order, into `out`:
+  // derived from exec::AccessShapes, or listed word by word for kRepMovs.
+  // `filter` skips the old-value capture for accesses no armed watchpoint
   // can match — old values are only ever consumed for the trapped access.
-  void CollectAccesses(const ThreadContext& t, const Instruction& instr,
+  void CollectAccesses(const ThreadContext& t, std::uint32_t index,
                        std::vector<MemAccess>& out,
                        const DebugRegisterFile* filter = nullptr) const;
-  // `accesses` (fast loop only) points at the instruction's collected
-  // accesses so memory operands reuse the effective addresses computed by
-  // CollectAccesses; null recomputes them (reference loop, or nothing was
-  // collected). Hooks cannot change registers between collection and here,
-  // so reuse is exact.
-  void ApplySemantics(CoreId core, ThreadContext& t, const Instruction& instr,
-                      unsigned length, const MemAccess* accesses);
+  // Executes a barrier instruction (kHalt, kRepMovs, kSyscall, kABegin,
+  // kAEnd, kAClear): the instructions that end a thread, enter the kernel
+  // or fire hooks. Every other instruction runs through exec::ExecFusedOp.
+  void ExecBarrier(CoreId core, ThreadContext& t, const Instruction& instr,
+                   ProgramCounter next_pc);
 
   void DoSyscall(CoreId core, ThreadContext& t, const Instruction& instr);
   void ExitThread(ThreadId tid, std::uint64_t status);
 
-  // Streams the committed shared-data accesses of the current instruction as
-  // kSharedRead/kSharedWrite events (trace/sink.h; only called when a sink
-  // wants access-level kinds).
-  void EmitAccessEvents(const ThreadContext& t, const Instruction& instr);
+  // Streams the committed shared-data accesses of the current instruction
+  // (`op`) as kSharedRead/kSharedWrite events (trace/sink.h; only called
+  // when a sink wants access-level kinds).
+  void EmitAccessEvents(const ThreadContext& t, const exec::TransOp& op);
 
   Addr EffectiveAddress(const ThreadContext& t, const MemOperand& mem) const {
     const std::uint64_t base = mem.base == kNoReg ? 0 : ReadReg(t, mem.base);
@@ -346,7 +343,7 @@ class Machine {
   // Scratch reused across ExecuteOne calls.
   std::vector<MemAccess> access_scratch_;
 
-  // --- Fast-loop caches (exact; see docs/performance.md) -------------------
+  // --- Scheduler caches (exact; see docs/performance.md) -------------------
   std::size_t live_count_ = 0;       // threads not yet kDone
   std::size_t timed_waiters_ = 0;    // threads in a timed wait
   mutable Cycles earliest_deadline_ = ~Cycles{0};

@@ -766,6 +766,14 @@ TEST_F(CliTest, RunBugSelectsCorpusEntryAndValidatesNames) {
   EXPECT_NE(unknown.exit_code, 0);
   EXPECT_NE(unknown.output.find("unknown bug"), std::string::npos);
   EXPECT_NE(unknown.output.find("NSS-329072"), std::string::npos) << "error should list known bugs";
+  // Every name --bug accepts is listed, the multi-variable corpus included,
+  // and the other --bug commands share the same text.
+  EXPECT_NE(unknown.output.find("MySQL-38883"), std::string::npos) << unknown.output;
+  for (const char* command : {"fuzz --bug nosuch-1", "compare --bug nosuch-1"}) {
+    const CommandResult other = RunCli(command);
+    EXPECT_EQ(other.exit_code, 2) << command;
+    EXPECT_NE(other.output.find("MySQL-38883"), std::string::npos) << command << other.output;
+  }
 
   const CommandResult both = RunCli("run " + program_ + " --bug NSS-329072");
   EXPECT_NE(both.exit_code, 0);

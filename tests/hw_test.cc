@@ -88,7 +88,7 @@ TEST(DebugRegistersTest, ArmedSummaryTracksSetAndClear) {
   EXPECT_FALSE(regs.MayMatch(0x1000, 8));
 }
 
-// MayMatch must never reject an access Match would trap on: the fast loop
+// MayMatch must never reject an access Match would trap on: both engines
 // uses it to skip old-value capture, which is only sound for accesses that
 // cannot trap.
 TEST(DebugRegistersTest, MayMatchIsSupersetOfMatch) {

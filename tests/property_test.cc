@@ -15,10 +15,15 @@
 //       — carries valid debug info, and prevented <= detected;
 //   P4  whitelisting every AR yields zero reports and zero annotation
 //       crossings;
-//   P5  runs are deterministic for a fixed seed.
+//   P5  runs are deterministic for a fixed seed;
+//   P6  the block engine and the per-instruction engine simulate the
+//       identical protected run (cycles, globals, violations) at 2, 4 and
+//       8 cores.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "compile/compiler.h"
@@ -141,7 +146,8 @@ struct RunOutcome {
 };
 
 RunOutcome RunProgram(const CompiledProgram& compiled, int threads,
-                      const std::optional<KivatiConfig>& kivati, std::uint64_t machine_seed) {
+                      const std::optional<KivatiConfig>& kivati, std::uint64_t machine_seed,
+                      unsigned cores = 2, bool block_translate = true) {
   Workload workload;
   workload.name = "fuzz";
   workload.program = compiled.program;
@@ -151,9 +157,10 @@ RunOutcome RunProgram(const CompiledProgram& compiled, int threads,
   workload.init = [&compiled](AddressSpace& memory) { compiled.InitMemory(memory); };
 
   EngineOptions options;
-  options.machine.num_cores = 2;
+  options.machine.num_cores = cores;
   options.machine.policy = SchedPolicy::kRandom;
   options.machine.seed = machine_seed;
+  options.machine.block_translate = block_translate;
   options.kivati = kivati;
 
   Engine engine(workload, options);
@@ -246,11 +253,29 @@ TEST_P(FuzzTest, PipelineInvariants) {
     EXPECT_EQ(a.global_values, b.global_values);
     EXPECT_EQ(a.violations.size(), b.violations.size());
   }
+
+  // P6: engine differential. The block engine and the per-instruction
+  // engine simulate the identical protected run at every core count.
+  const auto violation_list = [](const RunOutcome& run) {
+    std::vector<std::string> list;
+    for (const ViolationRecord& v : run.violations) {
+      list.push_back(ToString(v) + " size " + std::to_string(v.size));
+    }
+    return list;
+  };
+  for (const unsigned cores : {2u, 4u, 8u}) {
+    KivatiConfig config;
+    const RunOutcome block = RunProgram(compiled, 3, config, 13, cores, true);
+    const RunOutcome interp = RunProgram(compiled, 3, config, 13, cores, false);
+    EXPECT_EQ(block.cycles, interp.cycles) << "cores=" << cores;
+    EXPECT_EQ(block.global_values, interp.global_values) << "cores=" << cores;
+    EXPECT_EQ(violation_list(block), violation_list(interp)) << "cores=" << cores;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Range<std::uint64_t>(1, 41));
 
-// P6: CycleHistogram::Percentile is a well-behaved quantile estimate — for
+// P7: CycleHistogram::Percentile is a well-behaved quantile estimate — for
 // any recorded multiset it is monotone non-decreasing in p and always lands
 // inside [min, max]. Degenerate shapes (single value, single bucket, the
 // saturated top bucket) report exactly or within the bucket's true bounds.

@@ -93,9 +93,10 @@ INSTANTIATE_TEST_SUITE_P(AllCorpusBugs, CorpusReplayTest,
 // Block-translated execution must not change schedule semantics. Recording
 // through the block engine (block_translate defaults on; record mode keeps
 // fusion active because the decision stream is pick-identical) must produce
-// a ScheduleTrace byte-identical to the fast loop's, and strict replay with
-// block translation configured must still reproduce the run exactly — the
-// replaying controller forces per-instruction deopt, which this pins down.
+// a ScheduleTrace byte-identical to the per-instruction engine's, and strict
+// replay with block translation configured must still reproduce the run
+// exactly — the replaying controller forces per-instruction deopt, which
+// this pins down.
 TEST(BlockEngineScheduleTest, RecordedTraceMatchesFastLoopAndReplaysStrictly) {
   const exp::RunSpec base = BugSpec("NSS-329072", 5'000'000);
 
@@ -125,7 +126,7 @@ TEST(BlockEngineScheduleTest, RecordedTraceMatchesFastLoopAndReplaysStrictly) {
 // An access-level TraceSink subscribing *mid-run* must deopt the block
 // engine at its next entry: every committed shared read/write after the
 // subscription point is observed, and the run's outcome is unchanged
-// relative to the fast loop doing the same dance.
+// relative to the per-instruction engine doing the same dance.
 TEST(BlockEngineScheduleTest, MidRunAccessSinkSubscriptionDeopts) {
   struct AccessSink : TraceSink {
     std::vector<std::string> events;

@@ -43,8 +43,9 @@
 //                                   docs/detectors.md)
 //   kivati bench-interp [options]   interpreter throughput benchmark:
 //                                   simulated Mcycles/s per app × config,
-//                                   block, fast and reference engines side
-//                                   by side (docs/performance.md; feeds
+//                                   block and per-instruction ("fast")
+//                                   engines side by side
+//                                   (docs/performance.md; feeds
 //                                   BENCH_interp.json and CI's perf-smoke)
 //
 // Options for run/train:
@@ -69,12 +70,8 @@
 //   --no-correlate                  skip correlated-variable inference and
 //                                   multi-variable region fusion
 //                                   (docs/correlation.md)
-//   --no-fast-loop                  use the reference interpreter loop
-//                                   instead of the optimized one; the run
-//                                   must be byte-identical either way
-//                                   (docs/performance.md)
-//   --no-block-translate            keep the optimized loop but disable
-//                                   basic-block translation (fused
+//   --no-block-translate            run the per-instruction engine instead
+//                                   of basic-block translation (fused
 //                                   superinstructions with hoisted
 //                                   watchpoint checks); escape hatch for
 //                                   the default engine, byte-identical
@@ -156,9 +153,8 @@
 //                                   vanilla,base,optimized)
 //   --repeats N                     timed repeats per cell after one
 //                                   untimed warmup, median wins (default 3)
-//   --block-only / --fast-only / --reference-only
-//                                   measure just one engine (default: all
-//                                   three — block, fast, reference)
+//   --block-only / --fast-only      measure just one engine (default:
+//                                   both — block, fast)
 //   --seed/--cores/--watchpoints/--max-cycles/--app-workers/
 //   --app-iterations                as for run/sweep
 //   --json FILE                     machine-readable report ('-' = stdout)
@@ -253,9 +249,8 @@ struct CliOptions {
   int app_workers = 4;
   int app_iterations = 250;
 
-  // run/train/sweep/bench-interp: select the reference interpreter loop.
-  bool no_fast_loop = false;
-  // run/train/sweep/bench-interp: optimized loop without block translation.
+  // run/train/sweep/fuzz: the per-instruction engine instead of block
+  // translation.
   bool no_block_translate = false;
 
   // bench-interp.
@@ -263,7 +258,6 @@ struct CliOptions {
   unsigned repeats = 3;
   bool block_only = false;
   bool fast_only = false;
-  bool reference_only = false;
 };
 
 [[noreturn]] void Fail(const std::string& message) {
@@ -365,10 +359,8 @@ void AddConfigOptions(exp::OptionTable& table, CliOptions& options) {
   });
   table.String("--whitelist", &options.whitelist_path, "load AR whitelist from FILE");
   table.Double("--pause-ms", &options.pause_ms, "bug-finding pause length", 0.0, 1e9);
-  table.Flag("--no-fast-loop", &options.no_fast_loop,
-             "use the reference interpreter loop (must be byte-identical)");
   table.Flag("--no-block-translate", &options.no_block_translate,
-             "disable basic-block translation in the optimized loop "
+             "run the per-instruction engine instead of basic-block translation "
              "(must be byte-identical)");
   AddAnnotatorOptions(table, options);
 }
@@ -390,11 +382,7 @@ exp::OptionTable RunTable(CliOptions& options) {
   AddSingleRunOptions(table, options);
   table.Value("--bug", "corpus bug to run (e.g. NSS-329072)", [&options](const std::string& value) {
     if (exp::FindCorpusBug(value) == nullptr) {
-      std::string known;
-      for (const std::string& name : exp::CorpusBugNames()) {
-        known += (known.empty() ? "" : ", ") + name;
-      }
-      return "--bug: unknown bug '" + value + "' (known: " + known + ")";
+      return "--bug: " + exp::UnknownBugMessage(value);
     }
     options.bug = value;
     return std::string();
@@ -415,11 +403,7 @@ exp::OptionTable CompareTable(CliOptions& options) {
   table.Value("--bug", "corpus bug to compare (repeatable; default: all)",
               [&options](const std::string& value) {
                 if (exp::FindCorpusBug(value) == nullptr) {
-                  std::string known;
-                  for (const std::string& name : exp::CorpusBugNames()) {
-                    known += (known.empty() ? "" : ", ") + name;
-                  }
-                  return "--bug: unknown bug '" + value + "' (known: " + known + ")";
+                  return "--bug: " + exp::UnknownBugMessage(value);
                 }
                 options.compare_bugs.push_back(value);
                 return std::string();
@@ -475,11 +459,7 @@ exp::OptionTable FuzzTable(CliOptions& options) {
   AddSingleRunOptions(table, options);
   table.Value("--bug", "corpus bug to fuzz (e.g. NSS-329072)", [&options](const std::string& value) {
     if (exp::FindCorpusBug(value) == nullptr) {
-      std::string known;
-      for (const std::string& name : exp::CorpusBugNames()) {
-        known += (known.empty() ? "" : ", ") + name;
-      }
-      return "--bug: unknown bug '" + value + "' (known: " + known + ")";
+      return "--bug: " + exp::UnknownBugMessage(value);
     }
     options.bug = value;
     return std::string();
@@ -718,8 +698,7 @@ exp::OptionTable BenchInterpTable(CliOptions& options) {
   table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1,
             exp::kMaxAppIterations);
   table.Flag("--block-only", &options.block_only, "measure only the block engine");
-  table.Flag("--fast-only", &options.fast_only, "measure only the optimized loop");
-  table.Flag("--reference-only", &options.reference_only, "measure only the reference loop");
+  table.Flag("--fast-only", &options.fast_only, "measure only the per-instruction engine");
   table.String("--json", &options.json_path, "machine-readable report ('-' = stdout)");
   return table;
 }
@@ -816,7 +795,6 @@ exp::RunSpec SpecFromOptions(const CliOptions& options) {
   spec.machine.num_cores = options.cores;
   spec.machine.watchpoints_per_core = options.watchpoints;
   spec.machine.seed = options.seed;
-  spec.machine.fast_loop = !options.no_fast_loop;
   spec.machine.block_translate = !options.no_block_translate;
   spec.vanilla = options.vanilla;
   spec.preset = options.preset;
@@ -1267,10 +1245,8 @@ int FuzzCommand(const CliOptions& options) {
 }
 
 int BenchInterp(const CliOptions& options) {
-  if (static_cast<int>(options.block_only) + static_cast<int>(options.fast_only) +
-          static_cast<int>(options.reference_only) >
-      1) {
-    Fail("bench-interp takes at most one of --block-only / --fast-only / --reference-only");
+  if (options.block_only && options.fast_only) {
+    Fail("bench-interp takes at most one of --block-only / --fast-only");
   }
   exp::InterpBenchSpec spec;
   spec.apps = options.apps.empty() ? std::vector<std::string>{"nss", "vlc"} : options.apps;
@@ -1287,9 +1263,8 @@ int BenchInterp(const CliOptions& options) {
   spec.scale.annotator = options.annotator;
   spec.scale.prune = !options.no_prune;
   spec.scale.correlate = !options.no_correlate;
-  spec.include_block = !options.fast_only && !options.reference_only;
-  spec.include_fast = !options.block_only && !options.reference_only;
-  spec.include_reference = !options.block_only && !options.fast_only;
+  spec.include_block = !options.fast_only;
+  spec.include_fast = !options.block_only;
 
   // Progress (and the human table) on stderr when stdout carries the JSON.
   FILE* human = options.json_path == "-" ? stderr : stdout;
@@ -1353,7 +1328,6 @@ int Sweep(const CliOptions& options) {
   grid.base.scale.annotator = options.annotator;
   grid.base.scale.prune = !options.no_prune;
   grid.base.scale.correlate = !options.no_correlate;
-  grid.base.machine.fast_loop = !options.no_fast_loop;
   grid.base.machine.block_translate = !options.no_block_translate;
   grid.base.pause_ms = options.pause_ms;
   grid.base.whitelist_path = options.whitelist_path;

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Interpreter-throughput smoke for the hot-loop tiers (docs/performance.md).
+# Interpreter-throughput smoke for the two execution engines
+# (docs/performance.md).
 #
 # Runs `kivati bench-interp` over the standard grid and compares every
 # (label, engine) row's simulated Mcycles/s against the committed
@@ -8,9 +9,10 @@
 # median wall time — best-of-N rewarded lucky outliers and made this gate
 # flaky. A row fails when it drops below THRESHOLD (default 0.7) of the
 # committed number; absolute throughput varies across runners, hence the
-# wide margin. Block-engine rows are gated like the rest, so a regression
-# in basic-block translation (or a silent deopt to the fast loop) surfaces
-# in CI even while the fast/reference rows stay green.
+# wide margin. Block-engine rows are gated like the per-instruction
+# ("fast") rows, so a regression in basic-block translation (or a silent
+# deopt to per-instruction execution) surfaces in CI even while the fast
+# rows stay green.
 #
 #   sh tools/perf_smoke.sh check    # compare against BENCH_interp.json
 #   sh tools/perf_smoke.sh update   # regenerate the baseline (Release build)
@@ -30,8 +32,9 @@ case "${1:-check}" in
     echo "wrote $BASELINE"
     ;;
   check)
-    # All three engines: the bench cross-checks their simulated outcomes for
-    # byte-identity, so this run doubles as an engine-equivalence smoke.
+    # Both engines: the bench cross-checks their simulated outcomes
+    # (cycles, instructions), so this run doubles as an engine-equivalence
+    # smoke.
     # shellcheck disable=SC2086
     "$KIVATI" bench-interp $GRID --json perf_current.json
     python3 - "$BASELINE" perf_current.json "$THRESHOLD" <<'EOF'
