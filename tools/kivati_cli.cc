@@ -44,7 +44,8 @@
 //   kivati bench-interp [options]   interpreter throughput benchmark:
 //                                   simulated Mcycles/s per app × config,
 //                                   block and per-instruction ("fast")
-//                                   engines side by side
+//                                   engines side by side, plus the block
+//                                   engine's speedup per cell
 //                                   (docs/performance.md; feeds
 //                                   BENCH_interp.json and CI's perf-smoke)
 //
@@ -1274,6 +1275,16 @@ int BenchInterp(const CliOptions& options) {
                  static_cast<unsigned long long>(e.cycles), e.median_wall_ms,
                  e.mcycles_per_sec, e.mips);
   });
+  // Per cell, the block engine's speedup over the per-instruction engine.
+  for (const exp::InterpBenchEntry& block : entries) {
+    for (const exp::InterpBenchEntry& fast : entries) {
+      if (block.engine == "block" && fast.engine == "fast" && fast.label == block.label &&
+          fast.mcycles_per_sec > 0.0) {
+        std::fprintf(human, "%-44s block over fast %.2fx\n", block.label.c_str(),
+                     block.mcycles_per_sec / fast.mcycles_per_sec);
+      }
+    }
+  }
   if (!options.json_path.empty()) {
     WriteJsonOutput(options.json_path, exp::InterpBenchJson(entries));
     if (options.json_path != "-") {
