@@ -65,7 +65,12 @@ struct GoldenRun {
 //     bug-finding mode, pause 50 ms, scheduler seed 17, at 2, 4 and 8 cores,
 //     with a 10M-cycle budget at c2 and 2M at c4/c8;
 //   * scaled NSS and VLC sweeps (2 workers, 40 iterations, seed 3) under the
-//     base and optimized presets at c2 and their default budgets.
+//     base and optimized presets at c2 and their default budgets;
+//   * NSS, VLC, WebStone and TPC-W vanilla and optimized at 8 workers, 4
+//     iterations, seed 3, at c4 and c8 and their default budgets, plus SPEC
+//     OMP the same way under a 500K-cycle budget (its run is ~3.3M cycles
+//     whatever the iteration count). With more workers than cores these
+//     keep every core busy, preempting, blocking and going idle.
 inline std::vector<GoldenRun> GoldenRuns() {
   std::vector<std::string> bugs = exp::CorpusBugNames();
   for (const std::string& name : exp::MultiVarBugNames()) {
@@ -95,6 +100,27 @@ inline std::vector<GoldenRun> GoldenRuns() {
       run.spec.machine.seed = 3;
       run.spec.record_schedule = true;
       runs.push_back(run);
+    }
+  }
+  for (const unsigned cores : {4u, 8u}) {
+    for (const char* app : {"nss", "vlc", "webstone", "tpcw", "specomp"}) {
+      for (const bool vanilla : {true, false}) {
+        GoldenRun run{std::string(app) + (vanilla ? "/vanilla" : "/optimized") + " c" +
+                          std::to_string(cores),
+                      {}};
+        run.spec.app = app;
+        run.spec.vanilla = vanilla;
+        run.spec.preset = OptimizationPreset::kOptimized;
+        run.spec.scale.workers = 8;
+        run.spec.scale.iterations = 4;
+        run.spec.machine.seed = 3;
+        run.spec.machine.num_cores = cores;
+        if (std::string(app) == "specomp") {
+          run.spec.budget = 500'000;
+        }
+        run.spec.record_schedule = true;
+        runs.push_back(run);
+      }
     }
   }
   return runs;
