@@ -89,7 +89,7 @@ std::vector<InterpBenchEntry> RunInterpBench(
   }
   std::vector<std::string> engines;
   if (bench.include_block) engines.push_back("block");
-  if (bench.include_fast) engines.push_back("fast");
+  if (bench.include_interp) engines.push_back("interp");
   if (engines.empty()) {
     throw std::runtime_error("bench-interp needs at least one engine");
   }

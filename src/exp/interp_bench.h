@@ -6,8 +6,8 @@
 // (warmup — page faults, chunk materialization and block translation do not
 // pollute the timings) and `repeats` timed times, reporting the median wall
 // time converted to simulated Mcycles/s and MIPS. Each cell is measured per
-// engine — "block" (basic-block translation, the default) and "fast" (the
-// per-instruction engine, --no-block-translate) — so the block engine's
+// engine — "block" (basic-block translation, the default) and "interp" (the
+// per-instruction engine, --engine interp) — so the block engine's
 // speedup is visible in one report. The simulated outcome (cycles,
 // instructions) is determinism-checked across repeats and engines — a
 // throughput number from a diverging run would be meaningless.
@@ -42,12 +42,12 @@ struct InterpBenchSpec {
   apps::LoadScale scale;
   // Engine selection (both by default).
   bool include_block = true;
-  bool include_fast = true;
+  bool include_interp = true;
 };
 
 struct InterpBenchEntry {
   std::string label;   // "nss/base/prevention/c2w4/s1"
-  std::string engine;  // "block" or "fast"
+  std::string engine;  // "block" or "interp"
   Cycles cycles = 0;
   std::uint64_t instructions = 0;
   double median_wall_ms = 0.0;

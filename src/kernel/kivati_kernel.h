@@ -138,7 +138,7 @@ class KivatiKernel {
   // applied register image is already the canonical one, and no sync waiter
   // is satisfiable right now. A waiter blocked on some *other* core's lagging
   // generation stays unsatisfiable until that core enters the kernel itself,
-  // which cannot happen behind the caller's back within one fused run.
+  // which is a hook the machine sees.
   bool SyncCoreIsNoOp(CoreId core) const {
     if (core_generation_[core] < canonical_.generation()) {
       return false;

@@ -63,12 +63,14 @@ class KivatiHooks {
 
   // True when an *idle-loop* OnKernelEntry on `core` would provably change
   // nothing right now: the core already runs the canonical register image,
-  // no thread is blocked waiting on a cross-core sync, and no periodic
-  // kernel work is due. The translated execution engine uses this to fuse
-  // an idle core's clock-chasing steps without eliding a real sync point;
-  // the state it depends on can only change from inside the kernel, which
-  // the engine never enters within one fused run. The conservative answer
-  // is false, which merely disables the fusion.
+  // no periodic kernel work is due, and no sync waiter would be released.
+  // Waiters may exist: one blocked until some *busy* core catches up with
+  // the canonical image stays blocked until that core's own kernel entry,
+  // which no idle core's entry can stand in for. The answer may change only
+  // inside a hook or a kernel entry. The machine parks idle cores while it
+  // holds (docs/performance.md) and asks again after every hook or change
+  // to the runnable set. The conservative answer is false, which merely
+  // keeps the core stepping through the idle loop.
   virtual bool IdleSyncIsNoOp(CoreId /*core*/) const { return false; }
 
   // Core `core` switches from `prev` to `next` (either may be kInvalidThread).

@@ -67,7 +67,7 @@ struct MachineConfig {
   // engine deoptimizes to per-instruction execution whenever a
   // replaying/guided ScheduleController, an access-level trace sink, or
   // address tracing needs instruction-exact decisions, and must be
-  // byte-identical either way (`kivati run --no-block-translate`,
+  // byte-identical either way (`kivati run --engine interp`,
   // block_translate_test, tests/golden/engine_digests.txt).
   bool block_translate = true;
 };
@@ -189,9 +189,10 @@ class Machine {
 
  private:
   struct Core {
-    Cycles clock = 0;
+    Cycles clock = 0;  // while parked: the clock of the pick that parked it
     Cycles quantum_left = 0;
     ThreadId current = kInvalidThread;
+    bool parked = false;
     DebugRegisterFile debug_regs;
 
     explicit Core(unsigned watchpoints) : debug_regs(watchpoints) {}
@@ -229,34 +230,54 @@ class Machine {
   void EnterTimedWait(Cycles wake_at);
   void LeaveTimedWait(Cycles wake_at);
 
-  // The core with the smallest clock (ties by lowest id), tracked
-  // incrementally: only the picked core's clock advances within a loop
-  // iteration, so FixMinCoreAfterAdvance repairs the cached pick against the
-  // cached runner-up instead of rescanning every core. Both run once per
-  // loop iteration — the cached-hit paths are inline.
-  CoreId MinClockCore() {
-    if (min_core_valid_) {
-      return min_core_;
-    }
-    return RescanMinCore();
+  // --- Pick order and parked idle cores (docs/performance.md) ---------------
+  // The per-cycle loop runs the core with the smallest (clock, id) pair, so
+  // its picks are strictly increasing in that order. `order_` holds every
+  // core that is not parked, sorted by (clock, id); the pick is its front.
+  //
+  // An idle core whose kernel entry is a no-op (KivatiHooks::IdleSyncIsNoOp)
+  // while no thread is ready only ever advances its clock when picked: to
+  // the smallest busy clock, capped by the earliest deadline. Such a core is
+  // *parked*: taken out of the order with its clock frozen at the pick that
+  // parked it, because every later idle step is a closed-form function of
+  // the busy cores. Any event — a hook, a change to the runnable set, a
+  // timer or the cycle cap coming due — first unparks every core at the
+  // exact clock the per-cycle loop would have given it (UnparkCores).
+  struct Pick {
+    Cycles clock = 0;
+    CoreId core = 0;
+  };
+  static bool Less(Pick a, Pick b) {
+    return a.clock < b.clock || (a.clock == b.clock && a.core < b.core);
   }
-  CoreId RescanMinCore();
-  void FixMinCoreAfterAdvance(CoreId core) {
-    if (cores_.size() < 2 || !min_core_valid_ || core != min_core_) {
-      return;
+  // Restores the (clock, id) order after clocks advanced.
+  void SortOrder();
+  // The same after only the front core's clock advanced: inline, since the
+  // per-instruction loop runs it once per instruction.
+  void RequeueFront() {
+    const CoreId core = order_.front();
+    const Pick key{cores_[core].clock, core};
+    std::size_t i = 1;
+    for (; i < order_.size() && Less({cores_[order_[i]].clock, order_[i]}, key); ++i) {
+      order_[i - 1] = order_[i];
     }
-    const Core& a = cores_[core];
-    const Core& b = cores_[second_core_];
-    if (a.clock < b.clock || (a.clock == b.clock && core < second_core_)) {
-      return;  // still the lexicographic (clock, id) minimum
-    }
-    min_core_ = second_core_;
-    if (cores_.size() == 2) {
-      second_core_ = core;  // with two cores the other one is always runner-up
-    } else {
-      min_core_valid_ = false;  // the true runner-up is unknown; rescan lazily
-    }
+    order_[i - 1] = core;
   }
+  // The smallest clock of a core running a thread; ~0 when none is.
+  Cycles BusyMinClock() const;
+  // Whether the idle core at the front of the order may be parked instead
+  // of taking its idle step: no thread is ready, its kernel entry would
+  // change nothing, and a busy core will be picked before any timer or the
+  // cycle cap comes due.
+  bool CanPark(CoreId core, Cycles max_cycles) const;
+  void Park(CoreId core);
+  // Puts every parked core back into the order with the clock the
+  // per-cycle loop would give it just before the pick `next` — that is,
+  // after all the idle steps it would have taken since the last real pick,
+  // `last_pick_` — and leaves executing_core_ at the core of the latest of
+  // those steps. UnparkCores(last_pick_) yields the state right after the
+  // last real pick.
+  void UnparkCores(Pick next);
 
   // Assigns a thread to `core`, firing context-switch hooks.
   void Reschedule(CoreId core, bool timer_interrupt);
@@ -264,31 +285,32 @@ class Machine {
   // One scheduling step of a core with no current thread (after Reschedule
   // found nothing): gives the hooks their kernel-idle sync opportunity,
   // picks up any thread that wakes, otherwise jumps the core's clock to the
-  // next time anything can happen. Shared between Run and the block
-  // engine's fused loop — any state it leaves is a consistent loop
-  // boundary.
+  // next time anything can happen.
   enum class IdleOutcome : std::uint8_t { kProgress, kDeadlock };
   IdleOutcome IdleCoreStep(CoreId core);
 
   // The per-instruction engine: executes one instruction of core's current
   // thread — a predecoded op through exec::ExecFusedOp, or a barrier
   // through ExecBarrier — with the full access-list, trap and access-event
-  // machinery, and advances the clock.
-  void ExecuteOne(CoreId core);
+  // machinery, and advances the clock. Returns true when the instruction
+  // may have fired a hook or changed the runnable set (a barrier, a thread
+  // exit, a delivered trap): an event after which parked cores must be
+  // re-evaluated.
+  bool ExecuteOne(CoreId core);
 
   // The block-translation engine's fused loop (exec/block_exec.cc): runs
-  // predecoded ops across all cores in the exact discrete-event
-  // interleaving of Run, hoisting the per-instruction dispatch and
-  // watchpoint filtering, and returns to Run at the first op it cannot
-  // fuse (barriers, traps that may fire, scheduling decisions).
+  // predecoded ops of the busy cores in N-way rounds, in the exact
+  // (clock, id) interleaving of Run, hoisting the per-instruction dispatch
+  // and watchpoint filtering, and returns to Run at the first op it cannot
+  // fuse (barriers, traps that may fire, scheduling decisions, idle cores).
   // `entry_core` is the core Run picked *this iteration*: Run commits to
   // executing one instruction of that core's thread before re-deriving
   // anything — even when the Reschedule it just ran charged context-switch
   // cost that pushed the core's clock past another's — so the fused loop
   // must execute that one op first (or return 0 for ExecuteOne to do it)
-  // before handing control to its own min-clock pick. Returns the number of
-  // instructions executed; 0 means no progress was possible and the caller
-  // must take the generic path.
+  // before its own rounds. Returns the number of instructions executed; 0
+  // means no progress was possible and the caller must take the generic
+  // path.
   std::uint64_t RunTranslated(Cycles max_cycles, CoreId entry_core);
 
   // The accesses of op `index` for thread `t`, in program order, into `out`:
@@ -348,9 +370,9 @@ class Machine {
   std::size_t timed_waiters_ = 0;    // threads in a timed wait
   mutable Cycles earliest_deadline_ = ~Cycles{0};
   mutable bool earliest_valid_ = true;
-  CoreId min_core_ = 0;              // cached min-clock core...
-  CoreId second_core_ = 0;           // ...and its runner-up
-  bool min_core_valid_ = false;
+  std::vector<CoreId> order_;        // unparked cores by (clock, id)
+  std::size_t parked_ = 0;           // cores parked outside the order
+  Pick last_pick_;                   // the last pick Run acted on
 
   // --- Block-translation state (exec/block_exec.cc) ------------------------
   // Per-core memoized check-free verdict for the block the core is
@@ -365,6 +387,16 @@ class Machine {
   // Per-core cursor into the translated op array, valid only within one
   // RunTranslated call (kNoOp = re-derive from the thread's PC).
   std::vector<std::uint32_t> block_cursors_;
+  // One busy core of an N-way round: its thread, cursor and — when a
+  // watchpoint is armed on it — registers and check-free verdict.
+  struct Lane {
+    CoreId core = 0;
+    ThreadContext* thread = nullptr;
+    std::uint32_t cursor = exec::BlockTranslation::kNoOp;
+    const DebugRegisterFile* armed = nullptr;
+    BlockVerdict* verdict = nullptr;
+  };
+  std::vector<Lane> lanes_;
   std::uint64_t block_epoch_ = 0;  // bumped by InvalidateBlockChecks
 };
 

@@ -754,6 +754,37 @@ TEST_F(CliTest, FuzzFindsShrinksAndSavesReplayableArtifact) {
   EXPECT_NE(replay.output.find("loose"), std::string::npos) << replay.output;
 }
 
+// `--engine block|interp` selects the execution engine; both simulate the
+// same run byte for byte, and an unknown engine is a clean usage error.
+TEST_F(CliTest, EngineFlagSelectsEngineAndRejectsUnknownNames) {
+  const std::string run = "run " + program_ + " --threads racer:0,racer:1 --preset base --seed 9";
+  const CommandResult block = RunCliStdout(run + " --engine block --json -");
+  const CommandResult interp = RunCliStdout(run + " --engine interp --json -");
+  ASSERT_EQ(block.exit_code, 0) << block.output;
+  ASSERT_EQ(interp.exit_code, 0) << interp.output;
+  const std::regex wall("\"wall_ms\":[0-9.]+,");
+  EXPECT_EQ(std::regex_replace(block.output, wall, ""),
+            std::regex_replace(interp.output, wall, ""));
+
+  const CommandResult bench = RunCliStdout(
+      "bench-interp --apps nss --configs vanilla --repeats 1 --max-cycles 200000 "
+      "--engine interp --json -");
+  ASSERT_EQ(bench.exit_code, 0) << bench.output;
+  EXPECT_NE(bench.output.find("\"engine\":\"interp\""), std::string::npos) << bench.output;
+  EXPECT_EQ(bench.output.find("\"engine\":\"block\""), std::string::npos) << bench.output;
+
+  const std::vector<std::string> bad_engines = {run + " --engine fast",
+                                                "bench-interp --engine=jit"};
+  for (const std::string& command : bad_engines) {
+    const CommandResult bad = RunCli(command);
+    EXPECT_EQ(bad.exit_code, 2) << command;
+    EXPECT_NE(bad.output.find("kivati: --engine: unknown engine"), std::string::npos)
+        << command << ": " << bad.output;
+  }
+  const CommandResult old = RunCli(run + " --no-block-translate");
+  EXPECT_EQ(old.exit_code, 2) << old.output;
+}
+
 TEST_F(CliTest, RunBugSelectsCorpusEntryAndValidatesNames) {
   const CommandResult result = RunCliStdout(
       "run --bug nss-329072 --mode bug-finding --seed 17 --pause-ms 50 "

@@ -43,7 +43,7 @@
 //                                   docs/detectors.md)
 //   kivati bench-interp [options]   interpreter throughput benchmark:
 //                                   simulated Mcycles/s per app × config,
-//                                   block and per-instruction ("fast")
+//                                   block and per-instruction ("interp")
 //                                   engines side by side, plus the block
 //                                   engine's speedup per cell
 //                                   (docs/performance.md; feeds
@@ -71,11 +71,11 @@
 //   --no-correlate                  skip correlated-variable inference and
 //                                   multi-variable region fusion
 //                                   (docs/correlation.md)
-//   --no-block-translate            run the per-instruction engine instead
-//                                   of basic-block translation (fused
+//   --engine block|interp           execution engine (default block: basic-
+//                                   block translation, fused
 //                                   superinstructions with hoisted
-//                                   watchpoint checks); escape hatch for
-//                                   the default engine, byte-identical
+//                                   watchpoint checks); interp runs the
+//                                   per-instruction engine, byte-identical
 //                                   either way (docs/performance.md)
 //   --verbose                       print every violation record
 //   --hb                            (run) attach the happens-before/lockset
@@ -154,8 +154,8 @@
 //                                   vanilla,base,optimized)
 //   --repeats N                     timed repeats per cell after one
 //                                   untimed warmup, median wins (default 3)
-//   --block-only / --fast-only      measure just one engine (default:
-//                                   both — block, fast)
+//   --engine block|interp           measure just one engine (default:
+//                                   both — block, interp)
 //   --seed/--cores/--watchpoints/--max-cycles/--app-workers/
 //   --app-iterations                as for run/sweep
 //   --json FILE                     machine-readable report ('-' = stdout)
@@ -250,15 +250,13 @@ struct CliOptions {
   int app_workers = 4;
   int app_iterations = 250;
 
-  // run/train/sweep/fuzz: the per-instruction engine instead of block
-  // translation.
-  bool no_block_translate = false;
+  // --engine: "block", "interp", or empty for the command's default (the
+  // block engine; both engines for bench-interp).
+  std::string engine;
 
   // bench-interp.
   std::vector<std::string> bench_configs;
   unsigned repeats = 3;
-  bool block_only = false;
-  bool fast_only = false;
 };
 
 [[noreturn]] void Fail(const std::string& message) {
@@ -338,6 +336,16 @@ void AddAnnotatorOptions(exp::OptionTable& table, CliOptions& options) {
              "skip correlated-variable inference and multi-variable fusion");
 }
 
+void AddEngineOption(exp::OptionTable& table, CliOptions& options) {
+  table.Value("--engine", "block|interp", [&options](const std::string& value) {
+    if (value != "block" && value != "interp") {
+      return "--engine: unknown engine '" + value + "' (block, interp)";
+    }
+    options.engine = value;
+    return std::string();
+  });
+}
+
 void AddConfigOptions(exp::OptionTable& table, CliOptions& options) {
   table.Value("--mode", "prevention|bug-finding", [&options](const std::string& value) {
     return exp::ParseMode(value, &options.mode)
@@ -360,9 +368,7 @@ void AddConfigOptions(exp::OptionTable& table, CliOptions& options) {
   });
   table.String("--whitelist", &options.whitelist_path, "load AR whitelist from FILE");
   table.Double("--pause-ms", &options.pause_ms, "bug-finding pause length", 0.0, 1e9);
-  table.Flag("--no-block-translate", &options.no_block_translate,
-             "run the per-instruction engine instead of basic-block translation "
-             "(must be byte-identical)");
+  AddEngineOption(table, options);
   AddAnnotatorOptions(table, options);
 }
 
@@ -698,8 +704,7 @@ exp::OptionTable BenchInterpTable(CliOptions& options) {
             exp::kMaxAppWorkers);
   table.Int("--app-iterations", &options.app_iterations, "app iteration scale", 1,
             exp::kMaxAppIterations);
-  table.Flag("--block-only", &options.block_only, "measure only the block engine");
-  table.Flag("--fast-only", &options.fast_only, "measure only the per-instruction engine");
+  AddEngineOption(table, options);
   table.String("--json", &options.json_path, "machine-readable report ('-' = stdout)");
   return table;
 }
@@ -796,7 +801,7 @@ exp::RunSpec SpecFromOptions(const CliOptions& options) {
   spec.machine.num_cores = options.cores;
   spec.machine.watchpoints_per_core = options.watchpoints;
   spec.machine.seed = options.seed;
-  spec.machine.block_translate = !options.no_block_translate;
+  spec.machine.block_translate = options.engine != "interp";
   spec.vanilla = options.vanilla;
   spec.preset = options.preset;
   spec.mode = options.mode;
@@ -1246,9 +1251,6 @@ int FuzzCommand(const CliOptions& options) {
 }
 
 int BenchInterp(const CliOptions& options) {
-  if (options.block_only && options.fast_only) {
-    Fail("bench-interp takes at most one of --block-only / --fast-only");
-  }
   exp::InterpBenchSpec spec;
   spec.apps = options.apps.empty() ? std::vector<std::string>{"nss", "vlc"} : options.apps;
   spec.configs = options.bench_configs.empty()
@@ -1264,8 +1266,8 @@ int BenchInterp(const CliOptions& options) {
   spec.scale.annotator = options.annotator;
   spec.scale.prune = !options.no_prune;
   spec.scale.correlate = !options.no_correlate;
-  spec.include_block = !options.fast_only;
-  spec.include_fast = !options.block_only;
+  spec.include_block = options.engine != "interp";
+  spec.include_interp = options.engine != "block";
 
   // Progress (and the human table) on stderr when stdout carries the JSON.
   FILE* human = options.json_path == "-" ? stderr : stdout;
@@ -1277,11 +1279,11 @@ int BenchInterp(const CliOptions& options) {
   });
   // Per cell, the block engine's speedup over the per-instruction engine.
   for (const exp::InterpBenchEntry& block : entries) {
-    for (const exp::InterpBenchEntry& fast : entries) {
-      if (block.engine == "block" && fast.engine == "fast" && fast.label == block.label &&
-          fast.mcycles_per_sec > 0.0) {
-        std::fprintf(human, "%-44s block over fast %.2fx\n", block.label.c_str(),
-                     block.mcycles_per_sec / fast.mcycles_per_sec);
+    for (const exp::InterpBenchEntry& interp : entries) {
+      if (block.engine == "block" && interp.engine == "interp" &&
+          interp.label == block.label && interp.mcycles_per_sec > 0.0) {
+        std::fprintf(human, "%-44s block over interp %.2fx\n", block.label.c_str(),
+                     block.mcycles_per_sec / interp.mcycles_per_sec);
       }
     }
   }
@@ -1339,7 +1341,7 @@ int Sweep(const CliOptions& options) {
   grid.base.scale.annotator = options.annotator;
   grid.base.scale.prune = !options.no_prune;
   grid.base.scale.correlate = !options.no_correlate;
-  grid.base.machine.block_translate = !options.no_block_translate;
+  grid.base.machine.block_translate = options.engine != "interp";
   grid.base.pause_ms = options.pause_ms;
   grid.base.whitelist_path = options.whitelist_path;
   grid.base.budget = options.max_cycles;
