@@ -11,7 +11,10 @@
 //      per-instruction engine, and both match the digests the retired
 //      reference interpreter loop produced (tests/golden/
 //      engine_digests.txt): full RunRecord JSON (modulo wall clock) plus
-//      the recorded ScheduleTrace.
+//      the recorded ScheduleTrace. The same holds for the schedule
+//      tooling: guided PCT and bounded-preemption runs of every bug at 2, 4
+//      and 8 cores, strict replays of the c2 recordings and loose replays
+//      of shrunk schedules.
 //   3. End-to-end schedule tooling through the block engine: a guided-fuzz
 //      rediscovery produces a report byte-identical to the per-instruction
 //      engine's, and `kivati annotate`-visible line attribution stays exact
@@ -229,20 +232,24 @@ const std::map<std::string, std::string>& EngineGoldens() {
 }
 
 // Runs `run` under both engines and checks each against its golden
-// digest. A mismatch prints the actual row, so an intended behavior change
-// can be re-pinned by pasting it into the golden file.
+// digest. A mismatch or a missing row prints the actual row, so an intended
+// behavior change can be re-pinned by pasting it into the golden file.
 void ExpectEnginesMatchGolden(const testing::GoldenRun& run) {
   const auto golden = EngineGoldens().find(run.key);
-  ASSERT_NE(golden, EngineGoldens().end()) << "no golden row for " << run.key;
+  const std::string pinned = golden != EngineGoldens().end() ? golden->second : "(no row)";
   for (const bool block_translate : {true, false}) {
-    exp::RunSpec spec = run.spec;
-    spec.machine.block_translate = block_translate;
-    const exp::RunRecord record = exp::Execute(spec);
-    ASSERT_TRUE(record.error.empty()) << run.key << ": " << record.error;
-    const std::string digest = testing::EngineDigest(record);
-    EXPECT_EQ(digest, golden->second)
-        << (block_translate ? "block" : "per-instruction") << " engine diverged; actual row: "
-        << run.key << " " << digest;
+    testing::GoldenRun engine_run = run;
+    engine_run.spec.machine.block_translate = block_translate;
+    const char* engine = block_translate ? "block" : "per-instruction";
+    std::string digest;
+    try {
+      digest = testing::GoldenDigest(engine_run);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << run.key << " on the " << engine << " engine: " << e.what();
+      continue;
+    }
+    EXPECT_EQ(digest, pinned) << engine << " engine diverged; actual row: " << run.key << " "
+                              << digest;
   }
 }
 
@@ -251,7 +258,7 @@ class CorpusIdentityTest : public ::testing::TestWithParam<std::string> {};
 // Each bug at 2, 4 and 8 cores.
 TEST_P(CorpusIdentityTest, BlockMatchesFastAndReference) {
   for (const testing::GoldenRun& run : testing::GoldenRuns()) {
-    if (run.spec.bug == GetParam()) {
+    if (run.spec.bug == GetParam() && !testing::IsScheduleToolingRun(run)) {
       ExpectEnginesMatchGolden(run);
     }
   }
@@ -283,17 +290,42 @@ std::vector<std::string> AllCorpusBugNames() {
   return names;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBugs, CorpusIdentityTest,
-                         ::testing::ValuesIn(AllCorpusBugNames()),
-                         [](const ::testing::TestParamInfo<std::string>& info) {
-                           std::string name = info.param;
-                           for (char& c : name) {
-                             if (c == '-') {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+std::string BugTestName(const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  for (char& c : name) {
+    if (c == '-') {
+      c = '_';
+    }
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBugs, CorpusIdentityTest, ::testing::ValuesIn(AllCorpusBugNames()),
+                         BugTestName);
+
+// The runs behind fuzz, replay and shrink, per bug: guided PCT and
+// bounded-preemption schedules at 2, 4 and 8 cores, a strict replay of the
+// c2 recording and, for two bugs, a loose replay of its shrunk schedule.
+class ScheduleToolingIdentityTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ScheduleToolingIdentityTest, GuidedRunsMatchGoldens) {
+  for (const testing::GoldenRun& run : testing::GoldenRuns()) {
+    if (run.spec.bug == GetParam() && run.spec.guided_schedule != nullptr) {
+      ExpectEnginesMatchGolden(run);
+    }
+  }
+}
+
+TEST_P(ScheduleToolingIdentityTest, ReplaysMatchGoldens) {
+  for (const testing::GoldenRun& run : testing::GoldenRuns()) {
+    if (run.spec.bug == GetParam() && run.replay != testing::GoldenReplay::kNone) {
+      ExpectEnginesMatchGolden(run);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBugs, ScheduleToolingIdentityTest,
+                         ::testing::ValuesIn(AllCorpusBugNames()), BugTestName);
 
 // A guided-fuzz campaign — strategy generation, coverage dedup, shrinking,
 // replay verification — rediscovers a corpus bug through the block engine
