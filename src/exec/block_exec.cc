@@ -22,10 +22,12 @@
 // rep-movs), possible watchpoint hits (the outer ExecuteOne redoes the
 // access with the full Match/undo machinery), quantum expiry and blocked
 // threads (outer Reschedule), timer deadlines (outer WakeExpiredTimers),
-// and invalid PCs (outer error/exit handling). Deoptimization triggers
-// that hold for a whole Run call (replaying/guided controller, address
-// tracing) are decided in Run, which also re-checks the access-level sink
-// mask before every entry because sinks may subscribe between Run calls.
+// and invalid PCs (outer error/exit handling). No ScheduleController call
+// happens inside a fused op — picks, pause samples and preemption
+// checkpoints all sit behind those bails — so recording, replaying and
+// guided controllers need no deopt. The one deopt trigger is an
+// access-level trace sink, which Run checks before every entry because
+// sinks may subscribe between Run calls.
 #include <algorithm>
 
 #include "exec/fused_op.h"

@@ -194,7 +194,7 @@ void OptionTable::Double(const std::string& name, double* target, const std::str
     if (!ParseF64(value, &parsed)) {
       return name + ": '" + value + "' is not a valid number";
     }
-    if (parsed < min || parsed > max) {
+    if (!(parsed >= min && parsed <= max)) {  // NaN compares false
       return name + ": " + value + " is out of range";
     }
     *target = parsed;

@@ -1,6 +1,7 @@
 #include "exp/run_spec.h"
 
 #include <cctype>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -39,12 +40,23 @@ std::string CanonicalBugKey(const std::string& name) {
 }
 
 template <typename T>
+std::string NumberText(T value) {
+  return std::to_string(value);
+}
+
+std::string NumberText(double value) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%g", value);
+  return text;
+}
+
+template <typename T>
 void CheckRange(const char* field, T value, std::type_identity_t<T> min,
                 std::type_identity_t<T> max) {
-  if (value < min || value > max) {
-    throw std::runtime_error("RunSpec: " + std::string(field) + " " + std::to_string(value) +
-                             " is out of range [" + std::to_string(min) + ", " +
-                             std::to_string(max) + "]");
+  if (!(value >= min && value <= max)) {  // NaN compares false
+    throw std::runtime_error("RunSpec: " + std::string(field) + " " + NumberText(value) +
+                             " is out of range [" + NumberText(min) + ", " +
+                             NumberText(max) + "]");
   }
 }
 
@@ -56,6 +68,7 @@ void Validate(const RunSpec& spec) {
   CheckRange("app workers", spec.scale.workers, 1, kMaxAppWorkers);
   CheckRange("app iterations", spec.scale.iterations, 1, kMaxAppIterations);
   CheckRange("quantum", spec.machine.quantum, 1, std::numeric_limits<Cycles>::max());
+  CheckRange("pause_ms", spec.pause_ms, 0.0, kMaxPauseMs);
 }
 
 std::vector<std::string> CorpusBugNames() {

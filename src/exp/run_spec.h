@@ -104,10 +104,12 @@ struct RunSpec {
 inline constexpr unsigned kMaxCores = 256;
 inline constexpr int kMaxAppWorkers = 256;
 inline constexpr int kMaxAppIterations = 100'000'000;
+inline constexpr double kMaxPauseMs = 1e9;
 
 // Range-checks the spec: cores in [1, kMaxCores], watchpoints in
 // [1, kMaxWatchpointCount], app workers in [1, kMaxAppWorkers], app
-// iterations in [1, kMaxAppIterations], quantum >= 1. Throws
+// iterations in [1, kMaxAppIterations], quantum >= 1, pause_ms finite and
+// in [0, kMaxPauseMs]. Throws
 // std::runtime_error naming the first field out of range. BuildEngine calls
 // it, so every command (run, sweep, replay, fuzz, shrink, ...) gets the
 // checks the CLI flags apply.

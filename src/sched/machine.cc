@@ -374,13 +374,12 @@ Machine::IdleOutcome Machine::IdleCoreStep(CoreId core) {
 
 RunResult Machine::Run(Cycles max_cycles) {
   RunResult result;
-  // Block-translated execution hands per-instruction control back whenever
-  // something needs instruction-exact decisions: a replaying or guided
-  // ScheduleController (record mode stays on — the decision stream is
-  // identical either way), address tracing, or an access-level trace sink
-  // (that one is re-checked per iteration below).
-  const bool block_ok = config_.block_translate && config_.trace_addr == kInvalidAddr &&
-                        (sched_ctl_ == nullptr || !sched_ctl_->replaying());
+  // No ScheduleController call happens inside a fused op: picks happen in
+  // PopRunnable, pause samples in the begin_atomic hook (a barrier) and
+  // preemption checkpoints in Reschedule, all of them reading
+  // instructions_executed_, which RunTranslated keeps exact at every exit.
+  // So every controller runs on the block engine; the one deopt trigger is
+  // an access-level trace sink, checked per iteration below.
   while (true) {
     if (live_count_ == 0) {
       result.all_done = true;
@@ -436,7 +435,7 @@ RunResult Machine::Run(Cycles max_cycles) {
     last_pick_ = pick;
     // Access-level sinks (the HB oracle, --trace-events=access) need every
     // instruction's access list, and may subscribe between Run calls.
-    if (block_ok && (trace_.hub().mask() & kAccessEventKinds) == 0 &&
+    if (config_.block_translate && (trace_.hub().mask() & kAccessEventKinds) == 0 &&
         RunTranslated(max_cycles, core) != 0) {
       // The fused loop advanced the machine and stopped at a consistent
       // iteration boundary; re-derive everything at the top of the loop.
@@ -675,19 +674,16 @@ bool Machine::ExecuteOne(CoreId core) {
   pending_extra_ = 0;
   Cycles cost = config_.costs.user_instruction;
 
-  // The access list is observed by three consumers: trap delivery (only
-  // with a watchpoint armed on this core), address tracing, and
-  // access-level event sinks (the HB detector, --trace-events=access; the
-  // cached hub mask makes that check one load-and-test). With none of them,
-  // skip building it (and the old-value memory reads) entirely. With only
-  // watchpoints armed, MayMatch skips the old-value capture for accesses
-  // outside the armed range hull.
+  // The access list is observed by two consumers: trap delivery (only
+  // with a watchpoint armed on this core) and access-level event sinks (the
+  // HB detector, --trace-events=access; the cached hub mask makes that
+  // check one load-and-test). With neither, skip building it (and the
+  // old-value memory reads) entirely. With only watchpoints armed, MayMatch
+  // skips the old-value capture for accesses outside the armed range hull.
   const bool access_events = (trace_.hub().mask() & kAccessEventKinds) != 0;
-  const bool tracing = config_.trace_addr != kInvalidAddr;
   const bool armed = hooks_ != nullptr && c.debug_regs.any_armed();
-  if (tracing || armed || access_events) {
-    CollectAccesses(t, index, access_scratch_,
-                    tracing || access_events ? nullptr : &c.debug_regs);
+  if (armed || access_events) {
+    CollectAccesses(t, index, access_scratch_, access_events ? nullptr : &c.debug_regs);
   } else {
     access_scratch_.clear();
   }
@@ -708,27 +704,10 @@ bool Machine::ExecuteOne(CoreId core) {
   }
 
   if (!cancelled) {
-    if (tracing) {
-      for (const MemAccess& access : access_scratch_) {
-        if (access.type == AccessType::kWrite && access.addr <= config_.trace_addr &&
-            config_.trace_addr < access.addr + access.size) {
-          // Log after semantics below; remember that a traced write happens.
-          traced_write_pending_ = true;
-        }
-      }
-    }
     if (op.kind == exec::FusedKind::kBarrier) {
       ExecBarrier(core, t, image_->program.At(index), op.next_pc);
     } else {
       exec::ExecFusedOp(trans.ops(), index, t, memory_, trans);
-    }
-    if (traced_write_pending_) {
-      traced_write_pending_ = false;
-      KIVATI_LOG(kDebug) << "write: t" << t.tid << " pc=0x" << std::hex
-                         << current_instruction_pc_ << " "
-                         << ToString(image_->program.At(index).op) << " [0x"
-                         << config_.trace_addr << "] = " << std::dec
-                         << memory_.Read(config_.trace_addr, 8) << " at " << now_;
     }
     ++t.instructions;
     ++instructions_executed_;

@@ -55,20 +55,17 @@ struct MachineConfig {
   Cycles quantum = 4000;
   std::uint64_t seed = 1;
   CostModel costs;
-  // Debug aid: every committed write overlapping this address is logged at
-  // debug level with thread, PC and value.
-  Addr trace_addr = kInvalidAddr;
   // Execute through the basic-block translation engine (exec/
   // block_translate.h): predecoded fused superinstructions with the
   // per-instruction watchpoint filter and scheduler poll hoisted to block
   // boundaries. Off selects the per-instruction engine, which executes the
   // same predecoded ops one at a time with the full access-list and trap
-  // machinery and is the block engine's differential reference. The block
-  // engine deoptimizes to per-instruction execution whenever a
-  // replaying/guided ScheduleController, an access-level trace sink, or
-  // address tracing needs instruction-exact decisions, and must be
-  // byte-identical either way (`kivati run --engine interp`,
-  // block_translate_test, tests/golden/engine_digests.txt).
+  // machinery and is the block engine's differential reference. No
+  // ScheduleController call happens inside a fused op, so recording,
+  // replaying and guided controllers need no deopt; the block engine
+  // deoptimizes to per-instruction execution only while an access-level
+  // trace sink listens, and must be byte-identical either way (`kivati run
+  // --engine interp`, block_translate_test, tests/golden/engine_digests.txt).
   bool block_translate = true;
 };
 
@@ -359,8 +356,6 @@ class Machine {
   ProgramCounter current_instruction_pc_ = 0;
   Cycles pending_extra_ = 0;
   std::uint64_t instructions_executed_ = 0;
-
-  bool traced_write_pending_ = false;
 
   // Scratch reused across ExecuteOne calls.
   std::vector<MemAccess> access_scratch_;

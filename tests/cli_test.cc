@@ -390,7 +390,7 @@ TEST_F(CliTest, MalformedNumericOptionsAreRejected) {
   // Each of these used to slip through strtoul/atoi as garbage values.
   for (const std::string args : {"--cores abc", "--cores 0", "--watchpoints 0",
                                  "--seed 12x", "--max-cycles 0", "--threads racer:xyz",
-                                 "--threads ,", "--pause-ms nope"}) {
+                                 "--threads ,", "--pause-ms nope", "--pause-ms nan"}) {
     const CommandResult result = RunCli("run " + program_ + " " + args);
     EXPECT_NE(result.exit_code, 0) << args << ": " << result.output;
     EXPECT_NE(result.output.find("kivati:"), std::string::npos) << args;
@@ -715,8 +715,8 @@ TEST_F(CliTest, FuzzAndShrinkRejectDegenerateBudgets) {
   for (const std::string args :
        {"fuzz --bug NSS-329072 --schedules 0", "fuzz --bug NSS-329072 --plateau 0",
         "fuzz --bug NSS-329072 --seed abc", "fuzz --bug NSS-329072 --strategy chaos",
-        "fuzz --bug NSS-329072 --pause-prob 1.5", "fuzz --bug NSS-329072 --shrink-runs 0",
-        "shrink nosuch.json --max-runs 0"}) {
+        "fuzz --bug NSS-329072 --pause-prob 1.5", "fuzz --bug NSS-329072 --pause-prob nan",
+        "fuzz --bug NSS-329072 --shrink-runs 0", "shrink nosuch.json --max-runs 0"}) {
     const CommandResult result = RunCli(args);
     EXPECT_NE(result.exit_code, 0) << args << ": " << result.output;
     EXPECT_NE(result.output.find("kivati:"), std::string::npos) << args << ": " << result.output;

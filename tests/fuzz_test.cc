@@ -99,11 +99,11 @@ TEST(FuzzGuidedRunTest, GuidedTraceReplaysStrictly) {
             exp::ToJson(replayed, /*include_wall_clock=*/false));
 }
 
-// The block engine must be schedule-transparent under guided fuzzing: a
-// guided controller counts as replaying, so the engine deopts to the
-// per-instruction loop, and the guided run's record and recorded
-// ScheduleTrace are byte-identical whether block translation is configured
-// on (the default) or off.
+// The block engine must be schedule-transparent under guided fuzzing: the
+// guided run executes fused on the block engine (the strategy is asked only
+// at picks and pause samples, which no fused op makes), and its record and
+// recorded ScheduleTrace are byte-identical to the per-instruction
+// engine's.
 TEST(FuzzGuidedRunTest, GuidedTraceIsEngineInvariant) {
   auto run_guided = [](bool block_translate) {
     exp::RunSpec spec = BugSpec("NSS-329072");

@@ -4,6 +4,7 @@
 // find a strictly smaller schedule that still triggers the recorded bug.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <regex>
 #include <string>
@@ -91,12 +92,11 @@ INSTANTIATE_TEST_SUITE_P(AllCorpusBugs, CorpusReplayTest,
                          ::testing::Range<std::size_t>(0, apps::BugCorpus().size()));
 
 // Block-translated execution must not change schedule semantics. Recording
-// through the block engine (block_translate defaults on; record mode keeps
-// fusion active because the decision stream is pick-identical) must produce
-// a ScheduleTrace byte-identical to the per-instruction engine's, and strict
-// replay with block translation configured must still reproduce the run
-// exactly — the replaying controller forces per-instruction deopt, which
-// this pins down.
+// through the block engine (block_translate defaults on) must produce a
+// ScheduleTrace byte-identical to the per-instruction engine's, and a strict
+// replay on the block engine must reproduce the run exactly: the replaying
+// controller is consulted only at picks, pause samples and preemption
+// checkpoints, which no fused op makes, so the replay runs fused too.
 TEST(BlockEngineScheduleTest, RecordedTraceMatchesFastLoopAndReplaysStrictly) {
   const exp::RunSpec base = BugSpec("NSS-329072", 5'000'000);
 
@@ -271,7 +271,9 @@ TEST(ReproArtifactTest, RejectsOutOfRangeSpecs) {
            {"\"cores\":[0-9]+", "\"cores\":0"},
            {"\"cores\":[0-9]+", "\"cores\":1099511627776"},
            {"\"watchpoints\":[0-9]+", "\"watchpoints\":64"},
-           {"\"workers\":[0-9]+", "\"workers\":0"}}) {
+           {"\"workers\":[0-9]+", "\"workers\":0"},
+           {"\"pause_ms\":[0-9.]+", "\"pause_ms\":-5"},
+           {"\"pause_ms\":[0-9.]+", "\"pause_ms\":1e300"}}) {
     SCOPED_TRACE(replacement);
     EXPECT_THROW(exp::ReproFromJson(EditedArtifact(pattern, replacement)), std::runtime_error);
   }
@@ -282,7 +284,9 @@ TEST(ReproArtifactTest, RejectsOutOfRangeSpecs) {
   many_watchpoints.machine.watchpoints_per_core = 64;
   exp::RunSpec no_workers = base;
   no_workers.scale.workers = 0;
-  for (const exp::RunSpec& spec : {no_cores, many_watchpoints, no_workers}) {
+  exp::RunSpec nan_pause = base;
+  nan_pause.pause_ms = std::numeric_limits<double>::quiet_NaN();
+  for (const exp::RunSpec& spec : {no_cores, many_watchpoints, no_workers, nan_pause}) {
     EXPECT_THROW(exp::BuildEngine(spec), std::runtime_error);
     EXPECT_THROW(exp::Validate(spec), std::runtime_error);
   }

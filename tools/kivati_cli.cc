@@ -367,7 +367,8 @@ void AddConfigOptions(exp::OptionTable& table, CliOptions& options) {
     return std::string();
   });
   table.String("--whitelist", &options.whitelist_path, "load AR whitelist from FILE");
-  table.Double("--pause-ms", &options.pause_ms, "bug-finding pause length", 0.0, 1e9);
+  table.Double("--pause-ms", &options.pause_ms, "bug-finding pause length", 0.0,
+               exp::kMaxPauseMs);
   AddEngineOption(table, options);
   AddAnnotatorOptions(table, options);
 }
