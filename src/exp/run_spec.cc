@@ -1,7 +1,6 @@
 #include "exp/run_spec.h"
 
 #include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -40,23 +39,13 @@ std::string CanonicalBugKey(const std::string& name) {
 }
 
 template <typename T>
-std::string NumberText(T value) {
-  return std::to_string(value);
-}
-
-std::string NumberText(double value) {
-  char text[32];
-  std::snprintf(text, sizeof(text), "%g", value);
-  return text;
-}
-
-template <typename T>
 void CheckRange(const char* field, T value, std::type_identity_t<T> min,
                 std::type_identity_t<T> max) {
   if (!(value >= min && value <= max)) {  // NaN compares false
-    throw std::runtime_error("RunSpec: " + std::string(field) + " " + NumberText(value) +
-                             " is out of range [" + NumberText(min) + ", " +
-                             NumberText(max) + "]");
+    std::ostringstream message;
+    message << "RunSpec: " << field << " " << value << " is out of range [" << min << ", "
+            << max << "]";
+    throw std::runtime_error(message.str());
   }
 }
 

@@ -18,6 +18,9 @@ unsigned BucketFor(Cycles value) {
 }  // namespace
 
 void CycleHistogram::Record(Cycles value) {
+  if (buckets_.empty()) {
+    buckets_.resize(kBuckets);
+  }
   ++buckets_[BucketFor(value)];
   ++count_;
   sum_ += value;

@@ -6,14 +6,16 @@
 // begin_atomic stalls on cross-core register sync. Durations span many
 // orders of magnitude (a fast-path annotation is ~10 cycles, a suspension
 // timeout is 50k), so buckets are powers of two. The histogram is a plain
-// value type with no dynamic allocation: recording is an array increment,
-// cheap enough to stay enabled unconditionally.
+// value type: recording is an array increment, cheap enough to stay enabled
+// unconditionally. The bucket array is allocated by the first Record, so the
+// many empty histograms a harness keeps (vanilla runs, untraced RunRecords
+// and RuntimeStats copies) cost a pointer triple instead of 352 bytes.
 #ifndef KIVATI_TRACE_HISTOGRAM_H_
 #define KIVATI_TRACE_HISTOGRAM_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 
@@ -38,7 +40,8 @@ class CycleHistogram {
   // quantile, clamped to [min, max]; 0 when empty. `p` in [0, 1].
   Cycles Percentile(double p) const;
 
-  const std::array<std::uint64_t, kBuckets>& buckets() const { return buckets_; }
+  // kBuckets counts; empty until the first Record.
+  const std::vector<std::uint64_t>& buckets() const { return buckets_; }
 
   static constexpr Cycles BucketLowerBound(unsigned bucket) {
     return bucket == 0 ? 0 : Cycles{1} << (bucket - 1);
@@ -47,7 +50,7 @@ class CycleHistogram {
   void Clear() { *this = CycleHistogram{}; }
 
  private:
-  std::array<std::uint64_t, kBuckets> buckets_{};
+  std::vector<std::uint64_t> buckets_;
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   Cycles min_ = ~Cycles{0};
